@@ -10,7 +10,6 @@ from .finite_sum import (
     DatasetFormatError,
     FiniteSumProblem,
     GradientStats,
-    Iterate,
     batch_gradient,
     component_gradient_variance,
     full_gradient,
@@ -28,7 +27,6 @@ from .optimizer import (
     RunRecord,
     learning_rate_at,
     run,
-    sgd_step,
 )
 from .sampling import (
     DEFAULT_ENUMERATION_CAP,
@@ -76,7 +74,6 @@ __all__ = [
     "EpsilonSchedule",
     "FiniteSumProblem",
     "GradientStats",
-    "Iterate",
     "IterationRow",
     "LearningRateSchedule",
     "RunConfig",
@@ -114,6 +111,5 @@ __all__ = [
     "run",
     "sample_with_replacement",
     "sample_without_replacement",
-    "sgd_step",
     "variance_report",
 ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -23,7 +23,7 @@ from .finite_sum import (
     make_least_squares,
     make_logistic,
 )
-from .optimizer import LearningRateSchedule, RunConfig, run
+from .optimizer import IterationRow, LearningRateSchedule, RunConfig, run
 from .sampling import DEFAULT_ENUMERATION_CAP, EnumerationCapError, Scheme, SeededRng
 from .scheduler import (
     BatchSizeRule,
@@ -53,17 +53,8 @@ GROWTH_HEADER = (
     "bound_with_replacement_truncated",
     "bound_without_replacement",
 )
-TRAIN_HEADER = (
-    "k",
-    "epsilon",
-    "batch_size",
-    "alpha",
-    "batch_grad_norm",
-    "full_grad_norm",
-    "objective",
-    "component_variance",
-    "batch_gradient_variance",
-)
+# One train.csv column per telemetry field, in declaration order.
+TRAIN_HEADER = tuple(column.name for column in fields(IterationRow))
 
 
 @dataclass(frozen=True)
@@ -305,24 +296,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     record = run(problem, config)
     out = _out_dir(args)
     path = out / "train.csv"
-    _write_csv(
-        path,
-        TRAIN_HEADER,
-        (
-            (
-                row.k,
-                row.epsilon,
-                row.batch_size,
-                row.alpha,
-                row.batch_grad_norm,
-                row.full_grad_norm,
-                row.objective,
-                row.component_variance,
-                row.batch_gradient_variance,
-            )
-            for row in record.rows
-        ),
-    )
+    _write_csv(path, TRAIN_HEADER, (astuple(row) for row in record.rows))
     print(
         f"train: {problem.label}: {len(record.rows)} iterations, "
         f"termination={record.termination}"

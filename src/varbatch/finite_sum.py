@@ -1,13 +1,15 @@
 """Finite-sum objectives with per-component gradient access.
 
 The central object is :class:`FiniteSumProblem`: an average of N component
-functions whose values and gradients can be evaluated one component at a
-time. Built-in least-squares and logistic test problems come with analytic
-gradients, and small delimited-text datasets can be loaded from disk.
+functions whose values and gradients are evaluated for a batch of component
+indices at once. Built-in least-squares and logistic test problems come with
+analytic gradients written as numpy formulas over the rows of their data, and
+small delimited-text datasets can be loaded from disk.
 """
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,7 +28,8 @@ class FiniteSumProblem:
 
     Evaluators must be pure functions of ``(i, x)``: the same arguments yield
     bit-identical results. Instances are immutable and safe to share across
-    threads.
+    threads. Every aggregate reads the components through :meth:`gradients`
+    and :meth:`values`.
     """
 
     dim: int
@@ -41,13 +44,44 @@ class FiniteSumProblem:
         if self.n_components < 1:
             raise ValueError("problem needs at least one component")
 
+    def gradients(self, indices, x: np.ndarray) -> np.ndarray:
+        """Component gradients at ``x``, one row per index: a new (k, d) array.
+
+        ``indices`` is an integer array (repeats allowed) or a slice of the
+        population; ``slice(None)`` selects every component in index order.
+        """
+        rows = self._evaluate(self.component_gradient, indices, x)
+        return rows.reshape(len(rows), self.dim)  # raises on a wrong-sized gradient
+
+    def values(self, indices, x: np.ndarray) -> np.ndarray:
+        """Component values at ``x``, one entry per index: a new (k,) array."""
+        return self._evaluate(self.component_value, indices, x)
+
+    def _evaluate(self, evaluate, indices, x: np.ndarray) -> np.ndarray:
+        if isinstance(evaluate, _RowFormula):
+            return evaluate.rows(indices, x)
+        # Per-component callables: the one loop over components.
+        selected = np.arange(self.n_components)[indices].tolist()
+        return np.array([evaluate(i, x) for i in selected], dtype=float)
+
+
+# Every component, in index order. A basic slice, so the built-in formulas
+# read their data without copying it.
+_ALL = slice(None)
+
 
 @dataclass(frozen=True)
-class Iterate:
-    """Current point and iteration counter of an optimization run."""
+class _RowFormula:
+    """Numpy formula over the components ``indices`` of a built-in problem.
 
-    x: np.ndarray
-    k: int
+    Calling it with one index is the per-component evaluator, so the single
+    and the batched evaluations share one formula.
+    """
+
+    rows: Callable[[object, np.ndarray], np.ndarray]
+
+    def __call__(self, i: int, x: np.ndarray):
+        return self.rows([i], x)[0]
 
 
 @dataclass(frozen=True)
@@ -68,12 +102,12 @@ def _as_point(problem: FiniteSumProblem, x) -> np.ndarray:
 
 
 def full_gradient(problem: FiniteSumProblem, x) -> np.ndarray:
-    """Average of all component gradients, summed in ascending index order."""
-    x = _as_point(problem, x)
-    acc = np.zeros(problem.dim)
-    for i in range(problem.n_components):
-        acc += problem.component_gradient(i, x)
-    return acc / problem.n_components
+    """Average of all component gradients.
+
+    Shares its reduction with :func:`batch_gradient`, so a whole-population
+    batch reproduces it bit for bit.
+    """
+    return problem.gradients(_ALL, _as_point(problem, x)).mean(axis=0)
 
 
 def batch_gradient(problem: FiniteSumProblem, x, batch: Batch) -> np.ndarray:
@@ -84,29 +118,20 @@ def batch_gradient(problem: FiniteSumProblem, x, batch: Batch) -> np.ndarray:
             f"batch index {batch.indices[-1]} out of range for "
             f"{problem.n_components} components"
         )
-    acc = np.zeros(problem.dim)
-    for i in batch.indices:
-        acc += problem.component_gradient(i, x)
-    return acc / batch.size
+    return problem.gradients(np.array(batch.indices), x).mean(axis=0)
 
 
 def gradient_stats(problem: FiniteSumProblem, x) -> GradientStats:
     """Full gradient and component-gradient variance from one evaluation pass.
 
     The variance is the population mean of the squared deviations (divisor N,
-    not N-1).
+    not N-1). The gradient block is centred in place, so only one (N, d)
+    array is held.
     """
-    x = _as_point(problem, x)
-    grads = [problem.component_gradient(i, x) for i in range(problem.n_components)]
-    acc = np.zeros(problem.dim)
-    for g in grads:
-        acc += g
-    mean = acc / problem.n_components
-    spread = 0.0
-    for g in grads:
-        dev = g - mean
-        spread += float(dev @ dev)
-    return GradientStats(mean, spread / problem.n_components)
+    grads = problem.gradients(_ALL, _as_point(problem, x))
+    mean = grads.mean(axis=0)
+    grads -= mean
+    return GradientStats(mean, float(np.vdot(grads, grads)) / problem.n_components)
 
 
 def component_gradient_variance(problem: FiniteSumProblem, x) -> float:
@@ -116,22 +141,27 @@ def component_gradient_variance(problem: FiniteSumProblem, x) -> float:
 
 def gradient_matrix(problem: FiniteSumProblem, x) -> np.ndarray:
     """All component gradients stacked row-wise; used by enumeration oracles."""
-    x = _as_point(problem, x)
-    return np.stack(
-        [
-            np.asarray(problem.component_gradient(i, x), dtype=float)
-            for i in range(problem.n_components)
-        ]
-    )
+    return problem.gradients(_ALL, _as_point(problem, x))
 
 
 def objective_value(problem: FiniteSumProblem, x) -> float:
-    """F(x): the mean of the component values, ascending index order."""
-    x = _as_point(problem, x)
-    total = 0.0
-    for i in range(problem.n_components):
-        total += float(problem.component_value(i, x))
-    return total / problem.n_components
+    """F(x): the mean of the component values."""
+    return float(problem.values(_ALL, _as_point(problem, x)).mean())
+
+
+def _data(matrix, column, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Float copies of an N x d data matrix and its length-N ``name`` column."""
+    A = np.array(matrix, dtype=float)
+    y = np.array(column, dtype=float)
+    if A.ndim != 2:
+        raise ValueError("matrix must be two-dimensional (N rows, d columns)")
+    if A.shape[0] < 1 or A.shape[1] < 1:
+        raise ValueError("matrix needs at least one row and one column")
+    if y.shape != A.shape[:1]:
+        raise ValueError(
+            f"{name} have shape {y.shape}, expected ({A.shape[0]},) to match the matrix"
+        )
+    return A, y
 
 
 def make_least_squares(matrix, targets) -> FiniteSumProblem:
@@ -140,26 +170,21 @@ def make_least_squares(matrix, targets) -> FiniteSumProblem:
     ``matrix`` is N x d (one row per component), ``targets`` length N. The
     analytic component gradient is a_i * (a_i @ x - b_i).
     """
-    A = np.array(matrix, dtype=float)
-    b = np.array(targets, dtype=float)
-    if A.ndim != 2:
-        raise ValueError("matrix must be two-dimensional (N rows, d columns)")
+    A, b = _data(matrix, targets, "targets")
     n, d = A.shape
-    if n < 1 or d < 1:
-        raise ValueError("matrix needs at least one row and one column")
-    if b.shape != (n,):
-        raise ValueError(
-            f"targets have shape {b.shape}, expected ({n},) to match the matrix"
-        )
 
-    def value(i: int, x: np.ndarray) -> float:
-        residual = float(A[i] @ x) - b[i]
+    def values(indices, x: np.ndarray) -> np.ndarray:
+        residual = A[indices] @ x - b[indices]
         return 0.5 * residual * residual
 
-    def gradient(i: int, x: np.ndarray) -> np.ndarray:
-        return A[i] * (float(A[i] @ x) - b[i])
+    def gradients(indices, x: np.ndarray) -> np.ndarray:
+        rows = A[indices]
+        return rows * (rows @ x - b[indices])[:, None]
 
-    return FiniteSumProblem(d, n, value, gradient, label=f"least-squares(N={n}, d={d})")
+    return FiniteSumProblem(
+        d, n, _RowFormula(values), _RowFormula(gradients),
+        label=f"least-squares(N={n}, d={d})",
+    )
 
 
 def make_logistic(matrix, labels) -> FiniteSumProblem:
@@ -168,34 +193,29 @@ def make_logistic(matrix, labels) -> FiniteSumProblem:
     Labels must be -1 or +1. Value and gradient use the numerically stable
     branches for large positive/negative margins.
     """
-    A = np.array(matrix, dtype=float)
-    y = np.array(labels, dtype=float)
-    if A.ndim != 2:
-        raise ValueError("matrix must be two-dimensional (N rows, d columns)")
+    A, y = _data(matrix, labels, "labels")
     n, d = A.shape
-    if y.shape != (n,):
-        raise ValueError(
-            f"labels have shape {y.shape}, expected ({n},) to match the matrix"
-        )
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValueError("logistic labels must all be -1 or +1")
 
-    def value(i: int, x: np.ndarray) -> float:
-        margin = float(y[i] * (A[i] @ x))
-        if margin > 0:
-            return math.log1p(math.exp(-margin))
-        return -margin + math.log1p(math.exp(margin))
+    def margins(indices, x: np.ndarray):
+        # exp(-|m|) never overflows; it is exp(-m) for m > 0 and exp(m) otherwise.
+        margin = y[indices] * (A[indices] @ x)
+        return margin, np.exp(-np.abs(margin))
 
-    def gradient(i: int, x: np.ndarray) -> np.ndarray:
-        margin = float(y[i] * (A[i] @ x))
-        if margin > 0:
-            e = math.exp(-margin)
-            slope = e / (1.0 + e)
-        else:
-            slope = 1.0 / (1.0 + math.exp(margin))
-        return (-y[i] * slope) * A[i]
+    def values(indices, x: np.ndarray) -> np.ndarray:
+        margin, e = margins(indices, x)
+        return np.where(margin > 0, 0.0, -margin) + np.log1p(e)
 
-    return FiniteSumProblem(d, n, value, gradient, label=f"logistic(N={n}, d={d})")
+    def gradients(indices, x: np.ndarray) -> np.ndarray:
+        margin, e = margins(indices, x)
+        slope = np.where(margin > 0, e, 1.0) / (1.0 + e)
+        return (-y[indices] * slope)[:, None] * A[indices]
+
+    return FiniteSumProblem(
+        d, n, _RowFormula(values), _RowFormula(gradients),
+        label=f"logistic(N={n}, d={d})",
+    )
 
 
 def load_dataset(path, delimiter: str = "auto") -> tuple[np.ndarray, np.ndarray]:
@@ -205,11 +225,12 @@ def load_dataset(path, delimiter: str = "auto") -> tuple[np.ndarray, np.ndarray]
     are separated by commas or whitespace (``delimiter`` is ``"comma"``,
     ``"whitespace"``, or ``"auto"`` to decide from the first data line).
     Blank lines and lines starting with ``#`` are skipped. Parse problems
-    raise :class:`DatasetFormatError` naming the offending line.
+    and non-finite cells (``nan``, ``inf``) raise :class:`DatasetFormatError`
+    naming the offending line.
     """
     if delimiter not in ("auto", "comma", "whitespace"):
         raise ValueError(f"unknown delimiter mode {delimiter!r}")
-    rows: list[list[float]] = []
+    cells = array("d")  # row-major doubles, not a Python float per cell
     width = None
     mode = delimiter
     with open(path) as fh:
@@ -226,6 +247,8 @@ def load_dataset(path, delimiter: str = "auto") -> tuple[np.ndarray, np.ndarray]
                 raise DatasetFormatError(
                     f"{path}: line {lineno}: could not parse {line!r} as numbers"
                 ) from None
+            if not all(map(math.isfinite, values)):
+                raise DatasetFormatError(f"{path}: line {lineno}: non-finite value in {line!r}")
             if width is None:
                 width = len(values)
                 if width < 2:
@@ -237,8 +260,8 @@ def load_dataset(path, delimiter: str = "auto") -> tuple[np.ndarray, np.ndarray]
                 raise DatasetFormatError(
                     f"{path}: line {lineno}: expected {width} fields, got {len(values)}"
                 )
-            rows.append(values)
-    if not rows:
+            cells.extend(values)
+    if width is None:
         raise DatasetFormatError(f"{path}: no data rows")
-    data = np.array(rows, dtype=float)
+    data = np.frombuffer(cells).reshape(-1, width)
     return data[:, :-1], data[:, -1]

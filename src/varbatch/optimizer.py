@@ -1,20 +1,19 @@
 """SGD driver with scheduler-controlled batch sizes and per-iteration telemetry."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .finite_sum import (
     FiniteSumProblem,
-    Iterate,
     batch_gradient,
     full_gradient,
     gradient_stats,
     objective_value,
 )
 from .sampling import (
-    Batch,
     Scheme,
     SeededRng,
     sample_with_replacement,
@@ -37,8 +36,8 @@ class LearningRateSchedule:
     def __post_init__(self):
         if self.kind not in (CONSTANT, DECAYING):
             raise ValueError(f"unknown learning-rate kind {self.kind!r}")
-        if self.alpha0 <= 0:
-            raise ValueError("learning rate must be positive")
+        if not (math.isfinite(self.alpha0) and self.alpha0 > 0):
+            raise ValueError("learning rate must be a positive finite number")
 
     @classmethod
     def constant(cls, alpha: float = 0.1) -> "LearningRateSchedule":
@@ -74,8 +73,8 @@ class RunConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.tolerance < 0:
-            raise ValueError("tolerance cannot be negative")
+        if not self.tolerance >= 0:
+            raise ValueError("tolerance must be a nonnegative number")
         if self.auto_cap and not self.monitor_full_gradient:
             raise ValueError("auto_cap needs monitor_full_gradient for measurements")
 
@@ -126,22 +125,15 @@ def learning_rate_at(config: RunConfig, k: int) -> float:
     return schedule.alpha0 / (k + 1)
 
 
-def sgd_step(problem: FiniteSumProblem, iterate: Iterate, batch: Batch, alpha: float) -> Iterate:
-    """One update x - alpha * grad_S F(x); returns a fresh iterate, k + 1."""
-    if alpha <= 0:
-        raise ValueError("step size must be positive")
-    gradient = batch_gradient(problem, iterate.x, batch)
-    return Iterate(np.asarray(iterate.x, dtype=float) - alpha * gradient, iterate.k + 1)
-
-
 def run(problem: FiniteSumProblem, config: RunConfig) -> RunRecord:
     """Iterate SGD with the batch size recomputed from the eps schedule each step.
 
     Deterministic given the seed. Stops at ``max_iters`` or once the monitored
     gradient norm is within tolerance. When the scheduler asks for the whole
-    population the exact full gradient is used directly (no sampling, and no
-    random draws are consumed). Any exception raised while evaluating the
-    problem aborts the run and returns the partial record with an error note.
+    population the exact full gradient is used directly (no sampling, no
+    random draws are consumed, and the logged batch-gradient variance is 0).
+    Any exception raised while evaluating the problem aborts the run and
+    returns the partial record with an error note.
     """
     rule = config.rule
     n = rule.n_components
@@ -180,32 +172,22 @@ def run(problem: FiniteSumProblem, config: RunConfig) -> RunRecord:
                 gradient = batch_gradient(problem, x, sample_with_replacement(rng, n, size))
             else:
                 gradient = batch_gradient(problem, x, sample_without_replacement(rng, n, size))
-            batch_norm = float(np.linalg.norm(gradient))
+            row = IterationRow(
+                k=k,
+                epsilon=eps_k,
+                batch_size=size,
+                alpha=alpha_k,
+                batch_grad_norm=float(np.linalg.norm(gradient)),
+            )
+            monitored = row.batch_grad_norm
             if stats is not None:
-                full_norm = float(np.linalg.norm(stats.full_gradient))
-                row = IterationRow(
-                    k=k,
-                    epsilon=eps_k,
-                    batch_size=size,
-                    alpha=alpha_k,
-                    batch_grad_norm=batch_norm,
-                    full_grad_norm=full_norm,
-                    objective=objective_value(problem, x),
-                    component_variance=stats.component_variance,
-                    batch_gradient_variance=analytic_variance(
-                        rule.scheme, stats.component_variance, n, size
-                    ),
+                row.full_grad_norm = monitored = float(np.linalg.norm(stats.full_gradient))
+                row.objective = objective_value(problem, x)
+                row.component_variance = stats.component_variance
+                # At size N the step used the exact gradient: no sampling variance.
+                row.batch_gradient_variance = 0.0 if size == n else analytic_variance(
+                    rule.scheme, stats.component_variance, n, size
                 )
-                monitored = full_norm
-            else:
-                row = IterationRow(
-                    k=k,
-                    epsilon=eps_k,
-                    batch_size=size,
-                    alpha=alpha_k,
-                    batch_grad_norm=batch_norm,
-                )
-                monitored = batch_norm
             record.rows.append(row)
             if monitored <= config.tolerance:
                 record.termination = "converged"

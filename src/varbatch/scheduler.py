@@ -17,8 +17,9 @@ from .sampling import Scheme
 GEOMETRIC = "geometric"
 POWER_LAW = "power-law"
 
-# Geometric schedules underflow to exactly 0.0 for very large k; clamp far
-# below any practical tolerance so downstream size ratios stay finite.
+# Schedules underflow to exactly 0.0 (geometric) or overflow their
+# denominator (power law) for very large k; clamp far below any practical
+# tolerance so downstream size ratios stay finite.
 _EPSILON_FLOOR = 1e-300
 
 
@@ -37,8 +38,8 @@ class EpsilonSchedule:
     exponent: float | None = None
 
     def __post_init__(self):
-        if self.eps0 <= 0:
-            raise ValueError("eps0 must be positive")
+        if not (math.isfinite(self.eps0) and self.eps0 > 0):
+            raise ValueError("eps0 must be a positive finite number")
         if self.kind == GEOMETRIC:
             if self.rho is None or not 0.0 < self.rho < 1.0:
                 raise ValueError("geometric schedule needs rho in (0, 1)")
@@ -65,7 +66,10 @@ def epsilon_at(schedule: EpsilonSchedule, k: int) -> float:
         raise ValueError("iteration index must be nonnegative")
     if schedule.kind == GEOMETRIC:
         return max(schedule.eps0 * schedule.rho**k, _EPSILON_FLOOR)
-    return schedule.eps0 / (k + 1) ** schedule.exponent
+    try:
+        return max(schedule.eps0 / (k + 1) ** schedule.exponent, _EPSILON_FLOOR)
+    except OverflowError:  # (k + 1)**exponent is past the float range
+        return _EPSILON_FLOOR
 
 
 @dataclass(frozen=True)
@@ -102,13 +106,6 @@ class BatchSizeRule:
             )
 
 
-def _cap_value(cap: VarianceCap | float) -> float:
-    value = cap.value if isinstance(cap, VarianceCap) else float(cap)
-    if not math.isfinite(value) or value <= 0:
-        raise ValueError("variance cap must be a positive finite number")
-    return value
-
-
 def _snap_ceil(value: float, rel: float = 1e-9) -> int:
     # Thresholds that are mathematically integral can land a hair past the
     # integer after float division (eps entered as C/N, say); snap those back
@@ -123,7 +120,9 @@ def batch_bound_with_replacement(cap: VarianceCap | float, eps: float) -> float:
     """Real-valued lower bound C / eps on the with-replacement batch size."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    return _cap_value(cap) / eps
+    if not isinstance(cap, VarianceCap):
+        cap = VarianceCap(cap)
+    return cap.value / eps
 
 
 def batch_bound_without_replacement(
@@ -134,8 +133,9 @@ def batch_bound_without_replacement(
         raise ValueError("eps must be positive")
     if n_components < 1:
         raise ValueError("population must contain at least one component")
-    c = _cap_value(cap)
-    return n_components * c / ((n_components - 1) * eps + c)
+    if not isinstance(cap, VarianceCap):
+        cap = VarianceCap(cap)
+    return n_components * cap.value / ((n_components - 1) * eps + cap.value)
 
 
 def min_batch_with_replacement(
@@ -144,12 +144,17 @@ def min_batch_with_replacement(
     """Smallest integer batch size meeting the with-replacement variance bound.
 
     The requirement diverges as eps shrinks; with ``truncate`` the result is
-    clamped to the population size for plotting and rule use.
+    clamped to the population size for plotting and rule use. Without it, a
+    bound C / eps past the float range has no integer size and raises.
     """
     if n_components < 1:
         raise ValueError("population must contain at least one component")
-    size = max(1, _snap_ceil(batch_bound_with_replacement(cap, eps)))
-    return min(n_components, size) if truncate else size
+    bound = batch_bound_with_replacement(cap, eps)
+    if truncate and bound >= n_components:
+        return n_components
+    if math.isinf(bound):
+        raise ValueError(f"batch bound C / eps overflows at eps = {eps!r}")
+    return max(1, _snap_ceil(bound))
 
 
 def min_batch_without_replacement(
@@ -180,7 +185,7 @@ def next_batch_size(
     if not rule.floor <= previous <= n:
         raise ValueError(f"previous size must be in [{rule.floor}, {n}], got {previous}")
     eps = epsilon_at(schedule, k)
-    cap = rule.cap.value if cap_override is None else cap_override
+    cap = rule.cap if cap_override is None else cap_override
     if rule.scheme is Scheme.WITH_REPLACEMENT:
         size = min_batch_with_replacement(cap, eps, n, truncate=True)
     else:

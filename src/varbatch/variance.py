@@ -99,7 +99,7 @@ def exact_batch_variance(
     within ``cap``.
     """
     grads = gradient_matrix(problem, x)
-    center = full_gradient(problem, x)
+    center = grads.mean(axis=0)
     total = 0.0
     for batch in enumerate_batches(problem.n_components, batch_size, scheme, cap=cap):
         weight = batch_probability(batch, problem.n_components)
@@ -143,22 +143,23 @@ def average_batch_covariance(
     ordered pairs of distinct members (there are N_S * (N_S - 1) of them),
     then average uniformly over the batch space. Distinct components drawn
     together are anti-correlated: the result equals -Var/(N - 1).
+
+    A batch's pair sum is ||sum c||^2 - sum ||c||^2 over its centered rows c:
+    the square of the sum is every ordered pair plus the N_S self-products.
     """
     if batch_size < 2:
         raise ValueError("covariance needs batches of at least two indices")
-    grads = gradient_matrix(problem, x)
-    centered = grads - full_gradient(problem, x)
+    centered = gradient_matrix(problem, x)
+    centered -= centered.mean(axis=0)
     pair_count = batch_size * (batch_size - 1)
     total = 0.0
     for batch in enumerate_batches(
         problem.n_components, batch_size, Scheme.WITHOUT_REPLACEMENT, cap=cap
     ):
         weight = batch_probability(batch, problem.n_components)
-        pair_sum = 0.0
-        for i in batch.indices:
-            for h in batch.indices:
-                if i != h:
-                    pair_sum += float(centered[i] @ centered[h])
+        rows = centered[list(batch.indices)]
+        row_sum = rows.sum(axis=0)
+        pair_sum = float(row_sum @ row_sum - (rows * rows).sum())
         total += weight * (pair_sum / pair_count)
     return total
 

@@ -42,6 +42,13 @@ def test_growth_curve_bound_columns_bracket_sizes(tmp_path):
         assert size <= bound + 1.0
 
 
+def test_growth_curve_large_cap_past_epsilon_floor(tmp_path):
+    # eps_k reaches its 1e-300 floor near k = 6550, where C / eps overflows.
+    assert main(["growth-curve", "--C", "1e10", "--kmax", "7000", "--out", str(tmp_path)]) == 0
+    last = read_csv(tmp_path / "growth_curve.csv")[-1]
+    assert int(last["size_with_replacement_truncated"]) == 30000
+
+
 def test_growth_curve_rejects_bad_population(tmp_path):
     assert main(["growth-curve", "--N", "1", "--out", str(tmp_path)]) == 2
 
@@ -119,8 +126,9 @@ def test_train_missing_dataset_is_io_error(tmp_path, capsys):
 
 def test_train_malformed_dataset_is_io_error(tmp_path):
     data = tmp_path / "bad.csv"
-    data.write_text("1,2\n1\n")
-    assert main(["train", "--problem", str(data), "--out", str(tmp_path)]) == 3
+    for content in ("1,2\n1\n", "1,2\n1,nan\n", "1,2\ninf,1\n"):
+        data.write_text(content)
+        assert main(["train", "--problem", str(data), "--out", str(tmp_path)]) == 3
 
 
 def test_train_bad_cap_is_usage_error(tmp_path):

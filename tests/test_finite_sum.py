@@ -6,6 +6,7 @@ import pytest
 from helpers import brute_force_component_variance, central_difference_gradient
 from varbatch import (
     DatasetFormatError,
+    FiniteSumProblem,
     Scheme,
     batch_gradient,
     component_gradient_variance,
@@ -34,9 +35,32 @@ def test_full_gradient_single_component():
 
 
 def test_full_gradient_matches_population_batch_exactly(ls5):
-    batch = make_batch(range(5), Scheme.WITHOUT_REPLACEMENT)
-    x = np.array([0.7])
-    assert np.array_equal(full_gradient(ls5, x), batch_gradient(ls5, x, batch))
+    # Built-in formulas and the per-component adapter, each checked for the
+    # shared reduction and row by row against the per-component callables.
+    rng = np.random.default_rng(17)
+    matrix = rng.normal(size=(7, 3))
+    logistic = make_logistic(matrix, np.where(rng.normal(size=7) >= 0, 1.0, -1.0))
+    cases = [
+        (ls5, np.array([0.7])),
+        (make_least_squares(matrix, rng.normal(size=7)), np.array([0.3, -1.2, 0.5])),
+        (logistic, np.array([0.3, -1.2, 0.5])),
+        # Margins of +800 and -800.
+        (make_logistic(np.array([[1.0], [-1.0]]), np.ones(2)), np.array([800.0])),
+        (FiniteSumProblem(1, 5, ls5.component_value, ls5.component_gradient), np.array([0.7])),
+    ]
+    for problem, x in cases:
+        n = problem.n_components
+        batch = make_batch(range(n), Scheme.WITHOUT_REPLACEMENT)
+        assert np.array_equal(full_gradient(problem, x), batch_gradient(problem, x, batch))
+        indices = np.array([n - 1, 0, n - 1, 0, n // 2])
+        grads = problem.gradients(indices, x)
+        values = problem.values(indices, x)
+        assert grads.shape == (5, problem.dim) and values.shape == (5,)
+        for row, i in enumerate(indices.tolist()):
+            assert np.max(np.abs(grads[row] - problem.component_gradient(i, x))) <= 1e-15
+            assert abs(values[row] - problem.component_value(i, x)) <= 1e-15
+    extreme, x = cases[3]
+    assert extreme.values(np.array([0, 1]), x).tolist() == [0.0, 800.0]
 
 
 def test_full_gradient_dimension_mismatch(ls5):
@@ -216,6 +240,14 @@ def test_load_dataset_non_numeric_names_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1,2,1\nx,1,1\n")
     with pytest.raises(DatasetFormatError, match="line 2"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_load_dataset_non_finite_names_line(tmp_path, cell):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text(f"# header\n1,2,1\n0,{cell},1\n")
+    with pytest.raises(DatasetFormatError, match="line 3: non-finite"):
         load_dataset(path)
 
 

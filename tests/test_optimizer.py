@@ -5,7 +5,6 @@ from varbatch import (
     BatchSizeRule,
     EpsilonSchedule,
     FiniteSumProblem,
-    Iterate,
     LearningRateSchedule,
     RunConfig,
     Scheme,
@@ -13,11 +12,9 @@ from varbatch import (
     epsilon_at,
     full_gradient,
     learning_rate_at,
-    make_batch,
     make_least_squares,
     next_batch_size,
     run,
-    sgd_step,
 )
 
 WITHOUT = Scheme.WITHOUT_REPLACEMENT
@@ -52,44 +49,11 @@ def test_learning_rate_decaying():
 def test_learning_rate_validation():
     with pytest.raises(ValueError):
         LearningRateSchedule.constant(0.0)
+    for alpha in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            LearningRateSchedule.constant(alpha)
     with pytest.raises(ValueError):
         learning_rate_at(make_config(5), -1)
-
-
-def test_sgd_step_full_population_lands_on_mean(ls5):
-    batch = make_batch(range(5), WITHOUT)
-    after = sgd_step(ls5, Iterate(np.array([0.0]), 0), batch, 1.0)
-    assert after.x == pytest.approx([3.0], abs=1e-15)
-    assert after.k == 1
-
-
-def test_sgd_step_zero_gradient_leaves_point():
-    problem = make_least_squares(np.ones((3, 1)), np.full(3, 2.0))
-    start = Iterate(np.array([2.0]), 4)
-    after = sgd_step(problem, start, make_batch([0, 2], WITHOUT), 0.5)
-    assert np.array_equal(after.x, start.x)
-    assert after.k == 5
-
-
-def test_sgd_step_does_not_mutate_input(ls5):
-    start = Iterate(np.array([1.0]), 0)
-    sgd_step(ls5, start, make_batch([0], WITHOUT), 0.1)
-    assert start.x[0] == 1.0 and start.k == 0
-
-
-def test_sgd_step_rejects_nonpositive_alpha(ls5):
-    with pytest.raises(ValueError):
-        sgd_step(ls5, Iterate(np.array([0.0]), 0), make_batch([0], WITHOUT), 0.0)
-
-
-def test_sgd_step_vanishing_alpha_limit(ls5):
-    # The degenerate alpha = 0 case is rejected; the limit leaves x in place
-    # while the counter still advances.
-    state = Iterate(np.array([1.0]), 0)
-    for _ in range(2):
-        state = sgd_step(ls5, state, make_batch([1, 3], WITHOUT), 1e-300)
-    assert state.k == 2
-    assert state.x == pytest.approx([1.0], abs=1e-290)
 
 
 def test_run_converges_on_least_squares(ls5):
@@ -166,6 +130,22 @@ def test_run_full_monitor_rows_are_populated(ls5):
         assert row.batch_gradient_variance is not None
 
 
+def test_run_logs_zero_variance_when_using_exact_gradient(ls5):
+    # From k = 2 the with-replacement size C / eps_k = 8 is truncated to N = 5,
+    # where run takes the exact full gradient instead of sampling.
+    config = make_config(
+        5,
+        rule=BatchSizeRule(Scheme.WITH_REPLACEMENT, VarianceCap(2.0), 5),
+        epsilon_schedule=EpsilonSchedule.geometric(1.0, 0.5),
+        max_iters=6,
+        tolerance=0.0,
+    )
+    rows = run(ls5, config).rows
+    assert [row.batch_size for row in rows] == [2, 4, 5, 5, 5, 5]
+    assert rows[0].batch_gradient_variance == pytest.approx(1.0)
+    assert all(row.batch_gradient_variance == 0.0 for row in rows[2:])
+
+
 def test_run_aborts_with_partial_record_on_evaluator_error(ls5):
     calls = {"n": 0}
 
@@ -197,6 +177,8 @@ def test_run_config_validation(ls5):
         make_config(5, max_iters=0)
     with pytest.raises(ValueError):
         make_config(5, tolerance=-1.0)
+    with pytest.raises(ValueError):
+        make_config(5, tolerance=float("nan"))
     with pytest.raises(ValueError):
         make_config(5, auto_cap=True, monitor_full_gradient=False)
     with pytest.raises(ValueError):

@@ -38,9 +38,9 @@ def test_geometric_partial_sum_bounded():
 
 
 def test_epsilon_positive_for_huge_k():
-    schedule = EpsilonSchedule.geometric(1.0, 0.9)
-    for k in (0, 10, 1000, 10**6):
-        assert epsilon_at(schedule, k) > 0.0
+    for schedule in (EpsilonSchedule.geometric(1.0, 0.9), EpsilonSchedule.power_law(1.0, 400.0)):
+        for k in (0, 10, 1000, 10**6):
+            assert epsilon_at(schedule, k) > 0.0
 
 
 def test_schedule_validation():
@@ -50,6 +50,9 @@ def test_schedule_validation():
         EpsilonSchedule.geometric(0.0, 0.5)
     with pytest.raises(ValueError):
         EpsilonSchedule.power_law(1.0, 1.0)
+    for eps0 in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            EpsilonSchedule.geometric(eps0, 0.5)
     with pytest.raises(ValueError):
         epsilon_at(EpsilonSchedule.geometric(1.0, 0.9), -1)
 
@@ -68,6 +71,10 @@ def test_with_replacement_rule_worked_values():
     assert min_batch_with_replacement(C10, 25.0, 30000) == 1
     with pytest.raises(ValueError):
         min_batch_with_replacement(C10, 0.0, 30000)
+    # C / eps overflows to inf: the truncated size is N, the raw one has none.
+    assert min_batch_with_replacement(VarianceCap(1e10), 1e-300, 30000) == 30000
+    with pytest.raises(ValueError, match="overflows"):
+        min_batch_with_replacement(VarianceCap(1e10), 1e-300, 30000, truncate=False)
 
 
 def test_without_replacement_rule_worked_values():
