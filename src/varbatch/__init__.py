@@ -8,6 +8,7 @@ verification sweeps, growth curves, and training runs.
 """
 from .finite_sum import (
     DatasetFormatError,
+    EvaluationError,
     FiniteSumProblem,
     GradientStats,
     batch_gradient,
@@ -53,14 +54,12 @@ from .scheduler import (
     next_batch_size,
 )
 from .variance import (
-    VarianceReport,
     analytic_variance,
     analytic_variance_with_replacement,
     analytic_variance_without_replacement,
     average_batch_covariance,
     empirical_batch_variance,
     exact_batch_variance,
-    variance_report,
 )
 
 __version__ = "0.1.0"
@@ -72,6 +71,7 @@ __all__ = [
     "DatasetFormatError",
     "EnumerationCapError",
     "EpsilonSchedule",
+    "EvaluationError",
     "FiniteSumProblem",
     "GradientStats",
     "IterationRow",
@@ -81,7 +81,6 @@ __all__ = [
     "Scheme",
     "SeededRng",
     "VarianceCap",
-    "VarianceReport",
     "analytic_variance",
     "analytic_variance_with_replacement",
     "analytic_variance_without_replacement",
@@ -111,5 +110,4 @@ __all__ = [
     "run",
     "sample_with_replacement",
     "sample_without_replacement",
-    "variance_report",
 ]

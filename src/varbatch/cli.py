@@ -306,7 +306,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     if problem.dim <= 4:
         print(f"train: final x = {np.array2string(record.final_x, precision=6)}")
     print(f"train: wrote {path}")
-    return EXIT_OK if record.termination != "error" else EXIT_FAILURE
+    return EXIT_FAILURE if record.termination in ("diverged", "error") else EXIT_OK
 
 
 _SUBCOMMANDS = {

@@ -22,6 +22,13 @@ class DatasetFormatError(ValueError):
     """Raised when a dataset file cannot be parsed; the message names the line."""
 
 
+class EvaluationError(RuntimeError):
+    """A component evaluator raised, or returned a result of the wrong size.
+
+    Chained to the original exception, whose type and text the message keeps.
+    """
+
+
 @dataclass(frozen=True)
 class FiniteSumProblem:
     """Objective F(x) = (1/N) * sum_i f_i(x) with per-component evaluators.
@@ -49,20 +56,25 @@ class FiniteSumProblem:
 
         ``indices`` is an integer array (repeats allowed) or a slice of the
         population; ``slice(None)`` selects every component in index order.
+        Evaluator failures raise :class:`EvaluationError`.
         """
-        rows = self._evaluate(self.component_gradient, indices, x)
-        return rows.reshape(len(rows), self.dim)  # raises on a wrong-sized gradient
+        return self._evaluate(self.component_gradient, indices, x, self.dim)
 
     def values(self, indices, x: np.ndarray) -> np.ndarray:
         """Component values at ``x``, one entry per index: a new (k,) array."""
         return self._evaluate(self.component_value, indices, x)
 
-    def _evaluate(self, evaluate, indices, x: np.ndarray) -> np.ndarray:
-        if isinstance(evaluate, _RowFormula):
-            return evaluate.rows(indices, x)
-        # Per-component callables: the one loop over components.
-        selected = np.arange(self.n_components)[indices].tolist()
-        return np.array([evaluate(i, x) for i in selected], dtype=float)
+    def _evaluate(self, evaluate, indices, x: np.ndarray, *row_shape) -> np.ndarray:
+        try:
+            if isinstance(evaluate, _RowFormula):
+                rows = evaluate.rows(indices, x)
+            else:
+                # Per-component callables: the one loop over components.
+                selected = np.arange(self.n_components)[indices].tolist()
+                rows = np.array([evaluate(i, x) for i in selected], dtype=float)
+            return rows.reshape(len(rows), *row_shape)  # raises on a wrong size
+        except Exception as exc:
+            raise EvaluationError(f"{type(exc).__name__}: {exc}") from exc
 
 
 # Every component, in index order. A basic slice, so the built-in formulas
@@ -218,29 +230,26 @@ def make_logistic(matrix, labels) -> FiniteSumProblem:
     )
 
 
-def load_dataset(path, delimiter: str = "auto") -> tuple[np.ndarray, np.ndarray]:
+def load_dataset(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a delimited numeric text file into (matrix, labels).
 
     One row per component; the label/target sits in the last column. Fields
-    are separated by commas or whitespace (``delimiter`` is ``"comma"``,
-    ``"whitespace"``, or ``"auto"`` to decide from the first data line).
-    Blank lines and lines starting with ``#`` are skipped. Parse problems
-    and non-finite cells (``nan``, ``inf``) raise :class:`DatasetFormatError`
-    naming the offending line.
+    are separated by commas, if the first data line has one, or else by
+    whitespace. Blank lines and lines starting with ``#`` are skipped. Parse
+    problems and non-finite cells (``nan``, ``inf``) raise
+    :class:`DatasetFormatError` naming the offending line.
     """
-    if delimiter not in ("auto", "comma", "whitespace"):
-        raise ValueError(f"unknown delimiter mode {delimiter!r}")
     cells = array("d")  # row-major doubles, not a Python float per cell
     width = None
-    mode = delimiter
+    separator = None
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            if mode == "auto":
-                mode = "comma" if "," in line else "whitespace"
-            parts = line.split(",") if mode == "comma" else line.split()
+            if width is None:
+                separator = "," if "," in line else None
+            parts = line.split(separator)
             try:
                 values = [float(part) for part in parts]
             except ValueError:

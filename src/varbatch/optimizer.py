@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .finite_sum import (
+    EvaluationError,
     FiniteSumProblem,
     batch_gradient,
     full_gradient,
@@ -78,10 +79,6 @@ class RunConfig:
         if self.auto_cap and not self.monitor_full_gradient:
             raise ValueError("auto_cap needs monitor_full_gradient for measurements")
 
-    @property
-    def scheme(self) -> Scheme:
-        return self.rule.scheme
-
 
 @dataclass
 class IterationRow:
@@ -102,11 +99,12 @@ class IterationRow:
 class RunRecord:
     """Outcome of a run: telemetry rows, final iterate, termination reason.
 
-    ``termination`` is ``"converged"``, ``"max_iterations"``, or ``"error"``;
-    in the error case the rows collected so far are preserved and ``error``
-    carries the message. When a run converges, the final row describes the
-    iteration at which the monitored norm was already within tolerance (no
-    step was applied there).
+    ``termination`` is ``"converged"``, ``"max_iterations"``, ``"diverged"``
+    (the next step would have left a non-finite iterate; ``final_x`` is the
+    last finite one), or ``"error"`` (a component evaluator failed; ``error``
+    carries the message). Rows collected before the run stopped are kept.
+    When a run converges, the final row describes the iteration at which the
+    monitored norm was already within tolerance (no step was applied there).
     """
 
     rows: list[IterationRow] = field(default_factory=list)
@@ -132,8 +130,9 @@ def run(problem: FiniteSumProblem, config: RunConfig) -> RunRecord:
     gradient norm is within tolerance. When the scheduler asks for the whole
     population the exact full gradient is used directly (no sampling, no
     random draws are consumed, and the logged batch-gradient variance is 0).
-    Any exception raised while evaluating the problem aborts the run and
-    returns the partial record with an error note.
+    A step to a non-finite iterate ends the run as diverged, and an
+    :class:`EvaluationError` ends it with an error note; both return the
+    partial record.
     """
     rule = config.rule
     n = rule.n_components
@@ -160,7 +159,10 @@ def run(problem: FiniteSumProblem, config: RunConfig) -> RunRecord:
             stats = gradient_stats(problem, x) if config.monitor_full_gradient else None
             cap_override = None
             if config.auto_cap:
-                running_cap = max(running_cap, stats.component_variance)
+                # An overflowed measurement is no cap; the step check below ends
+                # such a run as diverged.
+                if math.isfinite(stats.component_variance):
+                    running_cap = max(running_cap, stats.component_variance)
                 cap_override = running_cap
             size = next_batch_size(
                 rule, config.epsilon_schedule, k, previous, cap_override=cap_override
@@ -192,10 +194,14 @@ def run(problem: FiniteSumProblem, config: RunConfig) -> RunRecord:
             if monitored <= config.tolerance:
                 record.termination = "converged"
                 break
-            x = x - alpha_k * gradient
-        except Exception as exc:  # evaluator failures yield a partial record
+            step = x - alpha_k * gradient
+            if not np.isfinite(step).all():
+                record.termination = "diverged"
+                break
+            x = step
+        except EvaluationError as exc:
             record.termination = "error"
-            record.error = f"{type(exc).__name__}: {exc}"
+            record.error = str(exc)  # names the original exception type
             break
     record.final_x = x
     return record

@@ -87,15 +87,14 @@ class VarianceCap:
 class BatchSizeRule:
     """Policy turning (cap, population size, eps_k) into a batch size.
 
-    Emitted sizes always lie in [floor, n_components]. With the monotone flag
-    (default) the sequence never shrinks even if eps_k plateaus numerically.
+    Emitted sizes always lie in [floor, n_components], and the sequence never
+    shrinks even if eps_k plateaus numerically.
     """
 
     scheme: Scheme
     cap: VarianceCap
     n_components: int
     floor: int = 1
-    monotone: bool = True
 
     def __post_init__(self):
         if self.n_components < 1:
@@ -106,12 +105,16 @@ class BatchSizeRule:
             )
 
 
-def _snap_ceil(value: float, rel: float = 1e-9) -> int:
-    # Thresholds that are mathematically integral can land a hair past the
-    # integer after float division (eps entered as C/N, say); snap those back
-    # so the emitted size is the intended one.
+# Thresholds that are mathematically integral can land a hair past the
+# integer after float division (eps entered as C/N, say); values this close
+# (relative) to an integer snap back to it, so the emitted size is the
+# intended one.
+_SNAP_REL = 1e-9
+
+
+def _snap_ceil(value: float) -> int:
     nearest = round(value)
-    if abs(value - nearest) <= rel * max(1.0, abs(value)):
+    if abs(value - nearest) <= _SNAP_REL * max(1.0, abs(value)):
         return int(nearest)
     return math.ceil(value)
 
@@ -190,7 +193,5 @@ def next_batch_size(
         size = min_batch_with_replacement(cap, eps, n, truncate=True)
     else:
         size = min_batch_without_replacement(cap, n, eps)
-    size = max(rule.floor, size)
-    if rule.monotone:
-        size = max(previous, size)
-    return size
+    # previous is at least the floor, so this also applies the floor.
+    return max(previous, size)

@@ -7,16 +7,10 @@ SVG primitives.
 from __future__ import annotations
 
 PALETTE = ("#d62728", "#1f77b4", "#2ca02c", "#9467bd")
+WIDTH, HEIGHT = 720, 480
 
 
-def render_line_chart(
-    series,
-    xlabel: str,
-    ylabel: str,
-    title: str | None = None,
-    width: int = 720,
-    height: int = 480,
-) -> str:
+def render_line_chart(series, xlabel: str, ylabel: str, title: str | None = None) -> str:
     """Render ``series`` (label, xs, ys triples) as a standalone SVG string."""
     data = [
         (label, [float(v) for v in xs], [float(v) for v in ys])
@@ -39,8 +33,8 @@ def render_line_chart(
     left, right = 72.0, 24.0
     top = 24.0 if title is None else 48.0
     bottom = 56.0
-    plot_w = width - left - right
-    plot_h = height - top - bottom
+    plot_w = WIDTH - left - right
+    plot_h = HEIGHT - top - bottom
 
     def px(x: float) -> float:
         return left + (x - xmin) / (xmax - xmin) * plot_w
@@ -49,13 +43,13 @@ def render_line_chart(
         return top + plot_h - (y - ymin) / (ymax - ymin) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         '<rect width="100%" height="100%" fill="white"/>',
     ]
     if title is not None:
         parts.append(
-            f'<text x="{width / 2:.2f}" y="22" text-anchor="middle" '
+            f'<text x="{WIDTH / 2:.2f}" y="22" text-anchor="middle" '
             f'font-size="15" font-family="sans-serif">{title}</text>'
         )
     x_axis_y = top + plot_h
@@ -87,7 +81,7 @@ def render_line_chart(
             f'font-size="12" font-family="sans-serif">{format(ty, "g")}</text>'
         )
     parts.append(
-        f'<text x="{left + plot_w / 2:.2f}" y="{height - 12:.2f}" text-anchor="middle" '
+        f'<text x="{left + plot_w / 2:.2f}" y="{HEIGHT - 12:.2f}" text-anchor="middle" '
         f'font-size="13" font-family="sans-serif">{xlabel}</text>'
     )
     parts.append(

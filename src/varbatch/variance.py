@@ -9,12 +9,9 @@ populations past the enumeration cap.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .finite_sum import (
     FiniteSumProblem,
     batch_gradient,
-    component_gradient_variance,
     full_gradient,
     gradient_matrix,
 )
@@ -27,22 +24,6 @@ from .sampling import (
     sample_with_replacement,
     sample_without_replacement,
 )
-
-
-@dataclass(frozen=True)
-class VarianceReport:
-    """Analytic batch-gradient variance next to its enumeration oracle."""
-
-    scheme: Scheme
-    n_components: int
-    batch_size: int
-    analytic_variance: float
-    oracle_variance: float | None = None
-    average_covariance: float | None = None
-
-    def __post_init__(self):
-        if self.analytic_variance < 0:
-            raise ValueError("variance cannot be negative")
 
 
 def analytic_variance_with_replacement(var_comp: float, batch_size: int) -> float:
@@ -162,35 +143,3 @@ def average_batch_covariance(
         pair_sum = float(row_sum @ row_sum - (rows * rows).sum())
         total += weight * (pair_sum / pair_count)
     return total
-
-
-def variance_report(
-    problem: FiniteSumProblem,
-    x,
-    batch_size: int,
-    scheme: Scheme,
-    cap: int | None = DEFAULT_ENUMERATION_CAP,
-    include_oracle: bool = True,
-    include_covariance: bool = False,
-) -> VarianceReport:
-    """Bundle the closed-form variance with its enumeration oracle values."""
-    var_comp = component_gradient_variance(problem, x)
-    analytic = analytic_variance(scheme, var_comp, problem.n_components, batch_size)
-    oracle = (
-        exact_batch_variance(problem, x, batch_size, scheme, cap=cap)
-        if include_oracle
-        else None
-    )
-    covariance = None
-    if include_covariance:
-        if scheme is not Scheme.WITHOUT_REPLACEMENT:
-            raise ValueError("average batch covariance applies without replacement only")
-        covariance = average_batch_covariance(problem, x, batch_size, cap=cap)
-    return VarianceReport(
-        scheme=scheme,
-        n_components=problem.n_components,
-        batch_size=batch_size,
-        analytic_variance=analytic,
-        oracle_variance=oracle,
-        average_covariance=covariance,
-    )

@@ -107,6 +107,13 @@ def test_train_logistic_builtin_runs(tmp_path):
     assert (tmp_path / "train.csv").exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_diverging_run_is_failure(tmp_path, capsys):
+    assert main(["train", "--alpha", "50", "--out", str(tmp_path)]) == 1
+    assert "termination=diverged" in capsys.readouterr().out
+    assert "nan" not in (tmp_path / "train.csv").read_text()
+
+
 def test_train_from_dataset_file(tmp_path, capsys):
     data = tmp_path / "toy.csv"
     data.write_text("1,1\n1,2\n1,3\n1,4\n1,5\n")

@@ -6,6 +6,7 @@ import pytest
 from helpers import brute_force_component_variance, central_difference_gradient
 from varbatch import (
     DatasetFormatError,
+    EvaluationError,
     FiniteSumProblem,
     Scheme,
     batch_gradient,
@@ -61,6 +62,24 @@ def test_full_gradient_matches_population_batch_exactly(ls5):
             assert abs(values[row] - problem.component_value(i, x)) <= 1e-15
     extreme, x = cases[3]
     assert extreme.values(np.array([0, 1]), x).tolist() == [0.0, 800.0]
+
+
+def test_evaluator_failures_raise_evaluation_error(ls5):
+    def broken(i, x):
+        raise KeyError("row missing")
+
+    def pair(i, x):
+        return np.zeros(2)
+
+    cases = (
+        (FiniteSumProblem(1, 5, ls5.component_value, broken), full_gradient, KeyError),
+        (FiniteSumProblem(1, 5, ls5.component_value, pair), full_gradient, ValueError),
+        (FiniteSumProblem(1, 5, pair, ls5.component_gradient), objective_value, ValueError),
+    )
+    for problem, aggregate, cause in cases:
+        with pytest.raises(EvaluationError, match=cause.__name__) as excinfo:
+            aggregate(problem, X0)
+        assert isinstance(excinfo.value.__cause__, cause)
 
 
 def test_full_gradient_dimension_mismatch(ls5):

@@ -1,6 +1,9 @@
+from unittest.mock import Mock
+
 import numpy as np
 import pytest
 
+import varbatch.optimizer as optimizer
 from varbatch import (
     BatchSizeRule,
     EpsilonSchedule,
@@ -160,6 +163,54 @@ def test_run_aborts_with_partial_record_on_evaluator_error(ls5):
     assert record.termination == "error"
     assert "component blew up" in record.error
     assert 0 < len(record.rows) < 50
+
+
+def test_run_propagates_programming_errors(ls5, monkeypatch):
+    # Only evaluator failures become termination="error"; a bug in the driver
+    # itself must surface.
+    real = optimizer.next_batch_size
+    monkeypatch.setattr(
+        optimizer, "next_batch_size", lambda *args, **kwargs: real(*args, bad=1, **kwargs)
+    )
+    with pytest.raises(TypeError, match="bad"):
+        run(ls5, make_config(5))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_stops_as_diverged_on_non_finite_step(ls5, random_ls):
+    fast = LearningRateSchedule.constant(50.0)
+    # With auto_cap the measured variance overflows before the iterate does.
+    for problem, auto_cap in ((ls5, False), (random_ls(20, seed=0), True)):
+        n = problem.n_components
+        record = run(problem, make_config(n, learning_rate=fast, auto_cap=auto_cap))
+        assert record.termination == "diverged"
+        assert record.error is None
+        assert 0 < len(record.rows) < 500
+        assert np.all(np.isfinite(record.final_x))
+        assert np.max(np.abs(record.final_x)) > 1e300
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_run_calls_samplers_and_stats_through_module_names(ls5, monkeypatch, scheme):
+    # The benchmark paces and counts a run by patching these module attributes.
+    names = ("gradient_stats", "sample_with_replacement", "sample_without_replacement")
+    spies = {name: Mock(wraps=getattr(optimizer, name)) for name in names}
+    for name, spy in spies.items():
+        monkeypatch.setattr(optimizer, name, spy)
+    config = make_config(
+        5,
+        rule=BatchSizeRule(scheme, VarianceCap(2.0), 5),
+        epsilon_schedule=EpsilonSchedule.geometric(1.0, 0.5),
+        max_iters=12,
+        tolerance=0.0,
+    )
+    rows = run(ls5, config).rows
+    sampled = sum(row.batch_size < 5 for row in rows)
+    assert 0 < sampled < len(rows)
+    expected = dict.fromkeys(names, 0)
+    expected["gradient_stats"] = len(rows)
+    expected[f"sample_{scheme.name.lower()}"] = sampled
+    assert {name: spy.call_count for name, spy in spies.items()} == expected
 
 
 def test_run_auto_cap_tracks_measured_variance(ls5):

@@ -193,8 +193,6 @@ def test_next_batch_size_monotone_flag_and_floor():
     schedule = EpsilonSchedule.geometric(1.0, 0.9)
     sticky = BatchSizeRule(Scheme.WITHOUT_REPLACEMENT, VarianceCap(2.0), 20)
     assert next_batch_size(sticky, schedule, 0, 15) == 15
-    free = BatchSizeRule(Scheme.WITHOUT_REPLACEMENT, VarianceCap(2.0), 20, monotone=False)
-    assert next_batch_size(free, schedule, 0, 15) < 15
     floored = BatchSizeRule(Scheme.WITHOUT_REPLACEMENT, VarianceCap(2.0), 20, floor=6)
     assert next_batch_size(floored, schedule, 0, 6) == 6
     with pytest.raises(ValueError):
@@ -202,7 +200,7 @@ def test_next_batch_size_monotone_flag_and_floor():
 
 
 def test_next_batch_size_cap_override():
-    rule = BatchSizeRule(Scheme.WITHOUT_REPLACEMENT, VarianceCap(1.0), 100, monotone=False)
+    rule = BatchSizeRule(Scheme.WITHOUT_REPLACEMENT, VarianceCap(1.0), 100)
     schedule = EpsilonSchedule.geometric(0.1, 0.9)
     small = next_batch_size(rule, schedule, 0, 1)
     large = next_batch_size(rule, schedule, 0, 1, cap_override=50.0)

@@ -16,7 +16,6 @@ from varbatch import (
     exact_batch_variance,
     full_gradient,
     make_least_squares,
-    variance_report,
 )
 
 WITH = Scheme.WITH_REPLACEMENT
@@ -148,15 +147,3 @@ def test_analytic_variance_strictly_decreasing_in_batch_size(scheme):
     values = [analytic_variance(scheme, 5.0, n, size) for size in range(1, n + 1)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
-
-def test_variance_report_bundles_consistent_values(ls5):
-    report = variance_report(ls5, X0, 2, WITHOUT, include_covariance=True)
-    assert report.analytic_variance == pytest.approx(0.75, abs=1e-12)
-    assert report.oracle_variance == pytest.approx(0.75, abs=1e-12)
-    assert report.average_covariance == pytest.approx(-0.5, abs=1e-12)
-    assert report.n_components == 5 and report.batch_size == 2
-
-
-def test_variance_report_covariance_rejects_with_replacement(ls5):
-    with pytest.raises(ValueError):
-        variance_report(ls5, X0, 2, WITH, include_covariance=True)
