@@ -46,8 +46,11 @@ class SeededRng:
     Wraps numpy's PCG64 bit generator. The generator choice is part of the
     reproducibility contract: a given 64-bit seed yields the same draw
     sequence on every platform and every run. Subset draws use an in-library
-    partial Fisher-Yates shuffle (see :func:`sample_without_replacement`) so
-    results do not depend on numpy's internal selection algorithms.
+    sparse partial Fisher-Yates shuffle (see :func:`sample_without_replacement`)
+    so results do not depend on numpy's internal selection algorithms; it
+    takes all its offsets from one vectorised bounded draw, which yields the
+    same values and leaves the same generator state as one scalar draw per
+    step.
 
     Instances own mutable generator state; use one per thread.
     """
@@ -56,12 +59,14 @@ class SeededRng:
         self.seed = int(seed)
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
-    def integers(self, low: int, high: int | None = None, size: int | None = None):
-        """Uniform integers in ``[low, high)``; numpy argument semantics."""
+    def integers(self, low, high=None, size: int | None = None):
+        """Uniform integers in ``[low, high)``; numpy argument semantics.
+
+        Scalar bounds without ``size`` give a Python ``int``; array bounds or
+        a ``size`` give an array, elementwise as numpy broadcasts them.
+        """
         out = self._gen.integers(low, high=high, size=size)
-        if size is None:
-            return int(out)
-        return out
+        return out if isinstance(out, np.ndarray) else int(out)
 
     def normal(self, loc: float = 0.0, scale: float = 1.0, size=None):
         return self._gen.normal(loc=loc, scale=scale, size=size)
@@ -117,8 +122,14 @@ def sample_with_replacement(rng: SeededRng, n_components: int, batch_size: int) 
 def sample_without_replacement(rng: SeededRng, n_components: int, batch_size: int) -> Batch:
     """Draw a uniformly distributed ``batch_size``-subset of ``[0, n_components)``.
 
-    Uses a partial Fisher-Yates shuffle: after ``batch_size`` swap steps the
-    prefix of the index pool is a uniform random subset.
+    Uses a sparse partial Fisher-Yates shuffle: step j swaps pool slot j with
+    a uniform slot r in ``[j, n_components)``, and after ``batch_size`` steps
+    the pool's prefix is a uniform random subset. The pool is the identity
+    except at displaced slots, which a dict holds, so a draw costs
+    O(batch_size) time and memory whatever the population size. The offsets
+    r come from one vectorised bounded draw that matches ``batch_size``
+    scalar draws value for value and in generator state, so batch streams
+    are bit-identical to a dense shuffle over ``list(range(n_components))``.
     """
     if n_components < 1:
         raise ValueError("population must contain at least one component")
@@ -126,11 +137,13 @@ def sample_without_replacement(rng: SeededRng, n_components: int, batch_size: in
         raise ValueError(
             f"batch size must be in [1, {n_components}], got {batch_size}"
         )
-    pool = list(range(n_components))
-    for j in range(batch_size):
-        r = rng.integers(j, n_components)
-        pool[j], pool[r] = pool[r], pool[j]
-    return Batch(tuple(sorted(pool[:batch_size])), Scheme.WITHOUT_REPLACEMENT)
+    moved: dict[int, int] = {}
+    chosen = []
+    for j, r in enumerate(rng.integers(range(batch_size), n_components).tolist()):
+        chosen.append(moved.get(r, r))
+        # Slot j is never read again, so only slot r needs the swapped value.
+        moved[r] = moved.get(j, j)
+    return Batch(tuple(sorted(chosen)), Scheme.WITHOUT_REPLACEMENT)
 
 
 def count_batches(n_components: int, batch_size: int, scheme: Scheme) -> int:

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .sampling import Scheme
+from .variance import analytic_variance_without_replacement
 
 GEOMETRIC = "geometric"
 POWER_LAW = "power-law"
@@ -166,10 +167,19 @@ def min_batch_without_replacement(
     """Smallest integer batch size meeting the without-replacement bound.
 
     Stays within [1, N] for every eps > 0 and reaches N only in the eps -> 0
-    limit.
+    limit. Near N one unit of size moves the variance by far more than the
+    size's relative snap allows for, so a size snapped down onto an integer
+    is kept only while its variance stays within the snap tolerance of eps.
     """
+    if not isinstance(cap, VarianceCap):
+        cap = VarianceCap(cap)
     bound = batch_bound_without_replacement(cap, n_components, eps)
-    return min(n_components, max(1, _snap_ceil(bound)))
+    size = min(n_components, max(1, _snap_ceil(bound)))
+    if size < bound and analytic_variance_without_replacement(
+        cap.value, n_components, size
+    ) > eps * (1 + _SNAP_REL):
+        return math.ceil(bound)
+    return size
 
 
 def next_batch_size(

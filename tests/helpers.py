@@ -1,6 +1,8 @@
 """Independent numeric oracles shared across the test suite."""
 import numpy as np
 
+from varbatch import Batch, Scheme
+
 
 def central_difference_gradient(func, x, h=1e-6):
     """Gradient of a scalar function by central differences, coordinate by coordinate."""
@@ -23,3 +25,43 @@ def brute_force_component_variance(problem, x):
         dev = g - mean
         total += float(np.dot(dev, dev))
     return total / problem.n_components
+
+
+class IdentityPool:
+    """Stands in for ``list(range(n))`` where n is too large to build.
+
+    Slots never written hold their own index, as in the list; a prefix slice
+    reads slots ``0 .. stop - 1``.
+    """
+
+    def __init__(self):
+        self.slots = {}
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(i.stop)]
+        return self.slots.get(i, i)
+
+    def __setitem__(self, i, value):
+        self.slots[i] = value
+
+
+def dense_sample_without_replacement(rng, n_components, batch_size):
+    """The dense partial Fisher-Yates shuffle, as the library first shipped it.
+
+    Reference for the sparse sampler's stream: one scalar bounded draw per
+    step, swapped through a pool of all N indices. The body is the original
+    apart from the pool, which is an :class:`IdentityPool` above 10**6
+    components so that 64-bit populations can be checked.
+    """
+    if n_components < 1:
+        raise ValueError("population must contain at least one component")
+    if not 1 <= batch_size <= n_components:
+        raise ValueError(
+            f"batch size must be in [1, {n_components}], got {batch_size}"
+        )
+    pool = list(range(n_components)) if n_components <= 10**6 else IdentityPool()
+    for j in range(batch_size):
+        r = rng.integers(j, n_components)
+        pool[j], pool[r] = pool[r], pool[j]
+    return Batch(tuple(sorted(pool[:batch_size])), Scheme.WITHOUT_REPLACEMENT)

@@ -8,6 +8,7 @@ import tempfile
 from hypothesis import configuration, given, settings
 from hypothesis import strategies as st
 
+from helpers import dense_sample_without_replacement
 from varbatch import (
     BatchSizeRule,
     EpsilonSchedule,
@@ -98,3 +99,14 @@ def test_samplers_return_canonical_batches(scheme, seed, n, size_share):
         assert all(a < b for a, b in pairs)
     else:
         assert all(a <= b for a, b in pairs)
+
+
+@examples
+@given(seed=st.integers(0, 2**32), n=st.integers(1, 10**5), size_share=st.floats(0, 1))
+def test_sparse_sampler_matches_dense_reference(seed, n, size_share):
+    size = max(1, round(size_share * min(n, 200)))
+    sparse, dense = SeededRng(seed), SeededRng(seed)
+    assert sample_without_replacement(sparse, n, size) == dense_sample_without_replacement(
+        dense, n, size
+    )
+    assert sparse.integers(0, n) == dense.integers(0, n)

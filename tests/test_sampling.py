@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from helpers import dense_sample_without_replacement
 from varbatch import (
     Batch,
     EnumerationCapError,
@@ -51,6 +52,40 @@ def test_sample_without_replacement_full_population():
     rng = SeededRng(0)
     batch = sample_without_replacement(rng, 7, 7)
     assert batch.indices == tuple(range(7))
+
+
+def test_sparse_sampler_stream_matches_dense_reference():
+    # Same batches and, through the interleaved with-replacement draws, the
+    # same generator state after every call; 2**32 + 5 takes numpy's 64-bit
+    # bounded path, the others its 32-bit one.
+    cases = ((1, 1), (2, 2), (9, 3), (50, 50), (1000, 37), (10**5, 500), (2**32 + 5, 40))
+    for seed in range(200):
+        sparse, dense = SeededRng(seed), SeededRng(seed)
+        for n, size in cases:
+            expected = dense_sample_without_replacement(dense, n, size)
+            assert sample_without_replacement(sparse, n, size) == expected
+            assert sample_with_replacement(sparse, n, 3) == sample_with_replacement(dense, n, 3)
+        assert sparse.integers(0, 2**62) == dense.integers(0, 2**62)
+
+
+def test_sample_without_replacement_huge_population():
+    # A pool of 10**12 indices cannot be built; the sparse draw needs O(k).
+    indices = sample_without_replacement(SeededRng(0), 10**12, 5).indices
+    assert len(indices) == 5
+    assert 0 <= indices[0] and indices[-1] < 10**12
+    assert all(a < b for a, b in zip(indices, indices[1:]))
+
+
+def test_seeded_rng_integers_array_bounds():
+    low = np.arange(6)
+    for high in (7, 2**40):
+        vector, scalar = SeededRng(11), SeededRng(11)
+        out = vector.integers(low, high)
+        assert isinstance(out, np.ndarray)
+        expected = [scalar.integers(j, high) for j in range(6)]
+        assert all(type(value) is int for value in expected)
+        assert out.tolist() == expected
+        assert vector.integers(0, high) == scalar.integers(0, high)
 
 
 def test_samplers_validate_sizes():

@@ -86,6 +86,13 @@ def test_without_replacement_rule_worked_values():
         min_batch_without_replacement(C10, 30000, -1.0)
 
 
+def test_without_replacement_snap_keeps_variance_within_eps():
+    # The bound is 999999.0005, within the 1e-9 snap of 999999, but at
+    # 999999 the variance is eps * (1 + 5.0e-4): only N meets eps.
+    eps = 9.99501998579084e-09
+    assert min_batch_without_replacement(1e4, 10**6, eps) == 10**6
+
+
 def test_rule_pair_at_crossover_tolerance():
     # At eps = C/N the with-replacement requirement is exactly N while the
     # without-replacement one is ceil(N**2 / (2N - 1)).
