@@ -10,9 +10,9 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, fields
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -57,61 +57,6 @@ GROWTH_HEADER = (
 TRAIN_HEADER = tuple(column.name for column in fields(IterationRow))
 
 
-@dataclass(frozen=True)
-class _Option:
-    flag: str
-    type: Callable
-    default: object
-    help: str
-    choices: tuple = ()
-
-    @property
-    def dest(self) -> str:
-        return self.flag.lstrip("-").replace("-", "_")
-
-
-VERIFY_OPTIONS = (
-    _Option("--n-max", int, 10, "largest population size in the sweep"),
-    _Option("--cap", int, DEFAULT_ENUMERATION_CAP, "enumeration cap on the batch space"),
-    _Option("--seed", int, 0, "seed for the randomly generated check problems"),
-    _Option("--out", str, ".", "output directory"),
-)
-
-GROWTH_OPTIONS = (
-    _Option("--C", float, 10.0, "variance cap imposed on the component gradients"),
-    _Option("--N", int, 30000, "population size"),
-    _Option("--eps0", float, 1.0, "initial tolerance of the geometric schedule"),
-    _Option("--rho", float, 0.9, "decay factor of the geometric schedule"),
-    _Option("--kmax", int, 200, "last iteration index plotted"),
-    _Option("--out", str, ".", "output directory"),
-)
-
-TRAIN_OPTIONS = (
-    _Option(
-        "--problem",
-        str,
-        "least-squares",
-        "built-in problem ('least-squares', 'logistic') or a dataset file path",
-    ),
-    _Option("--scheme", str, "without", "sampling scheme", choices=("with", "without")),
-    _Option("--C", float, 10.0, "variance cap for the batch-size rule"),
-    _Option("--eps0", float, 1.0, "initial tolerance of the geometric schedule"),
-    _Option("--rho", float, 0.9, "decay factor of the geometric schedule"),
-    _Option("--alpha", float, 0.1, "learning rate (alpha0 for the decaying schedule)"),
-    _Option(
-        "--lr-schedule",
-        str,
-        "constant",
-        "learning-rate schedule",
-        choices=("constant", "decaying"),
-    ),
-    _Option("--max-iters", int, 500, "iteration cap"),
-    _Option("--tol", float, 1e-6, "stopping tolerance on the monitored gradient norm"),
-    _Option("--seed", int, 0, "sampler seed"),
-    _Option("--out", str, ".", "output directory"),
-)
-
-
 def _csv_cell(value) -> str:
     if value is None:
         return ""
@@ -142,33 +87,27 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _apply_config(args: argparse.Namespace, options: Sequence[_Option]) -> None:
-    # Precedence: command-line flags, then config-file values, then defaults.
-    file_values: dict[str, str] = {}
-    if args.config is not None:
-        file_values = _read_config_file(args.config)
-        known = {option.dest for option in options}
-        unknown = sorted(set(file_values) - known)
-        if unknown:
-            raise ValueError(f"{args.config}: unknown config keys: {', '.join(unknown)}")
-    for option in options:
-        value = getattr(args, option.dest)
-        if value is None:
-            if option.dest in file_values:
-                raw = file_values[option.dest]
-                try:
-                    value = option.type(raw)
-                except ValueError:
-                    raise ValueError(
-                        f"{args.config}: cannot parse {option.dest} value {raw!r}"
-                    ) from None
-            else:
-                value = option.default
-        if option.choices and value not in option.choices:
+def _config_defaults(sub: argparse.ArgumentParser, path: str) -> dict[str, object]:
+    """A config file's values, each parsed and checked as its flag would be."""
+    # Every flag but --help and --config is a key; those two default to SUPPRESS.
+    actions = {a.dest: a for a in sub._actions if a.default is not argparse.SUPPRESS}
+    values = _read_config_file(path)
+    unknown = sorted(set(values) - set(actions))
+    if unknown:
+        raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
+    defaults = {}
+    for key, raw in values.items():
+        action = actions[key]
+        try:
+            value = (action.type or str)(raw)
+        except ValueError:
+            raise ValueError(f"{path}: cannot parse {key} value {raw!r}") from None
+        if action.choices and value not in action.choices:
             raise ValueError(
-                f"{option.flag} must be one of {', '.join(option.choices)}; got {value!r}"
+                f"{path}: {key} must be one of {', '.join(action.choices)}; got {value!r}"
             )
-        setattr(args, option.dest, value)
+        defaults[key] = value
+    return defaults
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -281,14 +220,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         cap=VarianceCap(args.C),
         n_components=problem.n_components,
     )
-    if args.lr_schedule == "constant":
-        learning_rate = LearningRateSchedule.constant(args.alpha)
-    else:
-        learning_rate = LearningRateSchedule.decaying(args.alpha)
     config = RunConfig(
         rule=rule,
         epsilon_schedule=EpsilonSchedule.geometric(args.eps0, args.rho),
-        learning_rate=learning_rate,
+        learning_rate=LearningRateSchedule(args.lr_schedule, args.alpha),
         max_iters=args.max_iters,
         tolerance=args.tol,
         seed=args.seed,
@@ -310,43 +245,62 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 _SUBCOMMANDS = {
-    "verify": (cmd_verify, VERIFY_OPTIONS, "verify variance formulas against enumeration"),
-    "growth-curve": (cmd_growth_curve, GROWTH_OPTIONS, "tabulate and plot batch-size growth"),
-    "train": (cmd_train, TRAIN_OPTIONS, "run SGD with scheduled batch sizes"),
+    "verify": (cmd_verify, "verify variance formulas against enumeration"),
+    "growth-curve": (cmd_growth_curve, "tabulate and plot batch-size growth"),
+    "train": (cmd_train, "run SGD with scheduled batch sizes"),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
-        prog="varbatch",
-        description="Variance-controlled batch sizing for finite-sum SGD.",
+        prog="varbatch", description="Variance-controlled batch sizing for finite-sum SGD."
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, (_, options, help_text) in _SUBCOMMANDS.items():
-        sub = subparsers.add_parser(name, help=help_text)
-        sub.add_argument(
-            "--config",
-            type=str,
-            default=None,
-            help="key = value file; command-line flags override file values",
-        )
-        for option in options:
-            sub.add_argument(
-                option.flag,
-                type=option.type,
-                default=None,
-                choices=option.choices or None,
-                help=f"{option.help} (default: {option.default})",
-            )
-    return parser
+    for name, (_, help_text) in _SUBCOMMANDS.items():
+        sub = subparsers.add_parser(name, help=help_text,
+                                    formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        sub.add_argument("--config", default=argparse.SUPPRESS,
+                         help="key = value file; command-line flags override file values")
+    verify, growth, train = (sub.add_argument for sub in subparsers.choices.values())
+    verify("--n-max", type=int, default=10, help="largest population size in the sweep")
+    verify("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
+           help="enumeration cap on the batch space")
+    verify("--seed", type=int, default=0, help="seed for the randomly generated check problems")
+    growth("--C", type=float, default=10.0, help="variance cap imposed on the component gradients")
+    growth("--N", type=int, default=30000, help="population size")
+    growth("--eps0", type=float, default=1.0, help="initial tolerance of the geometric schedule")
+    growth("--rho", type=float, default=0.9, help="decay factor of the geometric schedule")
+    growth("--kmax", type=int, default=200, help="last iteration index plotted")
+    train("--problem", default="least-squares",
+          help="built-in problem ('least-squares', 'logistic') or a dataset file path")
+    train("--scheme", default="without", choices=("with", "without"), help="sampling scheme")
+    train("--C", type=float, default=10.0, help="variance cap for the batch-size rule")
+    train("--eps0", type=float, default=1.0, help="initial tolerance of the geometric schedule")
+    train("--rho", type=float, default=0.9, help="decay factor of the geometric schedule")
+    train("--alpha", type=float, default=0.1,
+          help="learning rate (alpha0 for the decaying schedule)")
+    train("--lr-schedule", default="constant", choices=("constant", "decaying"),
+          help="learning-rate schedule")
+    train("--max-iters", type=int, default=500, help="iteration cap")
+    train("--tol", type=float, default=1e-6,
+          help="stopping tolerance on the monitored gradient norm")
+    train("--seed", type=int, default=0, help="sampler seed")
+    for add in (verify, growth, train):
+        add("--out", default=".", help="output directory")
+    return parser, subparsers.choices
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    handler, options, _ = _SUBCOMMANDS[args.command]
+    # Precedence: command-line flags, then config-file values, then defaults.
+    parser, subparsers = build_parser()
+    args = parser.parse_args(argv)
     try:
-        _apply_config(args, options)
-        return handler(args)
+        if "config" in args:
+            sub = subparsers[args.command]
+            sub.set_defaults(**_config_defaults(sub, args.config))
+            args = parser.parse_args(argv)
+        return _SUBCOMMANDS[args.command][0](args)
     except (DatasetFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -242,7 +242,8 @@ def load_dataset(path) -> tuple[np.ndarray, np.ndarray]:
     cells = array("d")  # row-major doubles, not a Python float per cell
     width = None
     separator = None
-    with open(path) as fh:
+    # Undecodable bytes become unparsable cells, so a binary file is a format error.
+    with open(path, errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -132,14 +132,20 @@ def batch_bound_with_replacement(cap: VarianceCap | float, eps: float) -> float:
 def batch_bound_without_replacement(
     cap: VarianceCap | float, n_components: int, eps: float
 ) -> float:
-    """Real-valued lower bound N*C / ((N-1)*eps + C); always below N for eps > 0."""
+    """Real-valued lower bound N*C / ((N-1)*eps + C); always below N for eps > 0.
+
+    Where N*C overflows, the equal N / ((N-1)*(eps/C) + 1) is used instead.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if n_components < 1:
         raise ValueError("population must contain at least one component")
     if not isinstance(cap, VarianceCap):
         cap = VarianceCap(cap)
-    return n_components * cap.value / ((n_components - 1) * eps + cap.value)
+    bound = n_components * cap.value / ((n_components - 1) * eps + cap.value)
+    if math.isfinite(bound):
+        return bound
+    return n_components / ((n_components - 1) * (eps / cap.value) + 1)
 
 
 def min_batch_with_replacement(

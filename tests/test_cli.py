@@ -1,4 +1,9 @@
 import csv
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -133,8 +138,8 @@ def test_train_missing_dataset_is_io_error(tmp_path, capsys):
 
 def test_train_malformed_dataset_is_io_error(tmp_path):
     data = tmp_path / "bad.csv"
-    for content in ("1,2\n1\n", "1,2\n1,nan\n", "1,2\ninf,1\n"):
-        data.write_text(content)
+    for content in (b"1,2\n1\n", b"1,2\n1,nan\n", b"1,2\ninf,1\n", b"1,2\n\xff\xfe,1\n"):
+        data.write_bytes(content)
         assert main(["train", "--problem", str(data), "--out", str(tmp_path)]) == 3
 
 
@@ -172,6 +177,86 @@ def test_config_file_unknown_key_is_usage_error(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("bogus = 1\n")
     assert main(["growth-curve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    ("command", "line", "named"),
+    [
+        ("growth-curve", "kmax = ten", "ten"),
+        ("train", "scheme = sideways", "sideways"),
+        ("train", "lr-schedule = cosine", "cosine"),
+        ("verify", "help = 1", "help"),
+        ("growth-curve", "config = other.cfg", "config"),
+        ("train", "command = verify", "command"),
+    ],
+)
+def test_config_file_errors_name_the_file(tmp_path, capsys, command, line, named):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(cfg) in err and named in err
+
+
+@pytest.mark.parametrize(
+    ("command", "settings", "outputs"),
+    [
+        ("verify", {"n-max": "3", "cap": "40", "seed": "4"}, ("verify.csv",)),
+        (
+            "growth-curve",
+            {"C": "3.5", "N": "700", "eps0": "2", "rho": "0.7", "kmax": "25"},
+            ("growth_curve.csv", "growth_curve.svg"),
+        ),
+        (
+            "train",
+            {"problem": "logistic", "scheme": "with", "C": "1.5", "eps0": "0.5",
+             "rho": "0.8", "alpha": "0.4", "lr-schedule": "decaying", "max-iters": "30",
+             "tol": "1e-3", "seed": "7"},
+            ("train.csv",),
+        ),
+    ],
+)
+def test_config_file_matches_flags(tmp_path, capsys, command, settings, outputs):
+    # The settings cover every flag of the subcommand, so each flag is a config key.
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    usage_flags = set(re.findall(r"\[--([\w-]+)", capsys.readouterr().out))
+    assert usage_flags == set(settings) | {"config", "out"}
+    by_flag, by_file = tmp_path / "flag", tmp_path / "file"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in settings.items())
+                   + f"out = {by_file}\n")
+    flags = [token for key, value in settings.items() for token in (f"--{key}", value)]
+    assert main([command, *flags, "--out", str(by_flag)]) == 0
+    assert main([command, "--config", str(cfg)]) == 0
+    for name in outputs:
+        assert read_bytes(by_flag / name) == read_bytes(by_file / name)
+
+
+def test_growth_curve_huge_cap_does_not_overflow(tmp_path):
+    # N * C overflows at C = 1e305; the without-replacement size is then N.
+    assert main(["growth-curve", "--C", "1e305", "--kmax", "5", "--out", str(tmp_path)]) == 0
+    rows = read_csv(tmp_path / "growth_curve.csv")
+    assert {int(r["size_without_replacement"]) for r in rows} == {30000}
+
+
+def _run_module(*args, cwd):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "varbatch.cli", *args],
+        capture_output=True, text=True, cwd=cwd, env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
+def test_module_entry_point_runs(tmp_path):
+    done = _run_module("growth-curve", "--kmax", "3", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert len(read_csv(tmp_path / "growth_curve.csv")) == 4
+    for command in ("verify", "growth-curve", "train"):
+        done = _run_module(command, "--help", cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith(f"usage: varbatch {command}")
 
 
 def test_config_file_missing_is_io_error(tmp_path):

@@ -82,6 +82,9 @@ def test_without_replacement_rule_worked_values():
     assert min_batch_without_replacement(C10, 1, 0.5) == 1
     # The requirement crosses the population size only in the eps -> 0 limit.
     assert min_batch_without_replacement(C10, 30000, 1e-300) == 30000
+    # N * C overflows in both, yet the bound lies in (0, N].
+    assert min_batch_without_replacement(1e305, 30000, 1.0) == 30000
+    assert min_batch_without_replacement(1e308, 5, 1e308) == 1
     with pytest.raises(ValueError):
         min_batch_without_replacement(C10, 30000, -1.0)
 
