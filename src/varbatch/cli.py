@@ -74,16 +74,20 @@ def _write_csv(path: Path, header: Sequence[str], rows) -> None:
 
 
 def _read_config_file(path: str) -> dict[str, str]:
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: byte {exc.start} is not valid UTF-8") from None
     values: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 

@@ -102,7 +102,9 @@ class RunRecord:
     ``termination`` is ``"converged"``, ``"max_iterations"``, ``"diverged"``
     (the next step would have left a non-finite iterate; ``final_x`` is the
     last finite one), or ``"error"`` (a component evaluator failed; ``error``
-    carries the message). Rows collected before the run stopped are kept.
+    carries the message). Rows collected before the run stopped are kept;
+    on a diverging run the monitored values, which square the iterate, can
+    read ``inf`` for many rows before the iterate overflows.
     When a run converges, the final row describes the iteration at which the
     monitored norm was already within tolerance (no step was applied there).
     """

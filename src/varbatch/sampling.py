@@ -9,10 +9,9 @@ is what the exact-expectation oracles in :mod:`varbatch.variance` consume.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, groupby, repeat
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -104,6 +103,21 @@ class Batch:
         return len(self.indices)
 
 
+def _canonical(indices: tuple[int, ...], scheme: Scheme) -> Batch:
+    """A batch from indices that are canonical by construction, built unchecked.
+
+    The caller guarantees what ``Batch.__post_init__`` would check: a
+    nonempty tuple of nonnegative Python ints in the order ``scheme``
+    requires. The enumerator and the samplers produce such tuples; anything
+    else goes through ``Batch(...)`` or :func:`make_batch`.
+    """
+    batch = object.__new__(Batch)
+    fields = batch.__dict__
+    fields["indices"] = indices
+    fields["scheme"] = scheme
+    return batch
+
+
 def make_batch(indices: Iterable[int], scheme: Scheme) -> Batch:
     """Build a batch from indices in any order, canonicalizing as needed."""
     return Batch(tuple(sorted(int(i) for i in indices)), scheme)
@@ -116,7 +130,7 @@ def sample_with_replacement(rng: SeededRng, n_components: int, batch_size: int) 
     if batch_size < 1:
         raise ValueError("batch size must be at least 1")
     draws = rng.integers(0, n_components, size=batch_size)
-    return Batch(tuple(sorted(draws.tolist())), Scheme.WITH_REPLACEMENT)
+    return _canonical(tuple(np.sort(draws).tolist()), Scheme.WITH_REPLACEMENT)
 
 
 def sample_without_replacement(rng: SeededRng, n_components: int, batch_size: int) -> Batch:
@@ -143,7 +157,7 @@ def sample_without_replacement(rng: SeededRng, n_components: int, batch_size: in
         chosen.append(moved.get(r, r))
         # Slot j is never read again, so only slot r needs the swapped value.
         moved[r] = moved.get(j, j)
-    return Batch(tuple(sorted(chosen)), Scheme.WITHOUT_REPLACEMENT)
+    return _canonical(tuple(np.sort(chosen).tolist()), Scheme.WITHOUT_REPLACEMENT)
 
 
 def count_batches(n_components: int, batch_size: int, scheme: Scheme) -> int:
@@ -185,7 +199,7 @@ def enumerate_batches(
         source = combinations(range(n_components), batch_size)
     else:
         source = combinations_with_replacement(range(n_components), batch_size)
-    return (Batch(indices, scheme) for indices in source)
+    return map(_canonical, source, repeat(scheme))
 
 
 def batch_probability(batch: Batch, n_components: int) -> float:
@@ -206,6 +220,7 @@ def batch_probability(batch: Batch, n_components: int) -> float:
     if batch.scheme is Scheme.WITHOUT_REPLACEMENT:
         return 1.0 / math.comb(n_components, k)
     orderings = math.factorial(k)
-    for multiplicity in Counter(batch.indices).values():
-        orderings //= math.factorial(multiplicity)
+    # Sorted indices sit in runs, one per distinct value, as long as its multiplicity.
+    for _, run in groupby(batch.indices):
+        orderings //= math.factorial(sum(1 for _ in run))
     return orderings / n_components**k

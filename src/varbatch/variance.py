@@ -6,8 +6,21 @@ reaching zero when the batch is the whole population. The exact enumeration
 estimators here average over the entire batch space and act as independent
 oracles for those formulas at small scale; a Monte Carlo estimator covers
 populations past the enumeration cap.
+
+The oracles read :func:`~varbatch.sampling.enumerate_batches` in chunks of
+consecutive batches, each an ``(m, N_S)`` index array holding at most
+``_CHUNK_INDICES`` indices, so memory stays bounded whatever the size of the
+batch space. Each batch is weighted by its exact
+:func:`~varbatch.sampling.batch_probability`, and the weighted terms are
+added one at a time in enumeration order, so a result is bit-identical to a
+per-batch Python loop over the same batches.
 """
 from __future__ import annotations
+
+from itertools import islice
+from operator import attrgetter
+
+import numpy as np
 
 from .finite_sum import (
     FiniteSumProblem,
@@ -17,6 +30,7 @@ from .finite_sum import (
 )
 from .sampling import (
     DEFAULT_ENUMERATION_CAP,
+    Batch,
     Scheme,
     SeededRng,
     batch_probability,
@@ -24,6 +38,10 @@ from .sampling import (
     sample_with_replacement,
     sample_without_replacement,
 )
+
+# Indices per enumeration chunk (2048 batches of 8): a chunk's index array
+# stays within 128 kB and its gathered gradient rows within 128*d kB.
+_CHUNK_INDICES = 16_384
 
 
 def analytic_variance_with_replacement(var_comp: float, batch_size: int) -> float:
@@ -65,6 +83,38 @@ def analytic_variance(
     return analytic_variance_without_replacement(var_comp, n_components, batch_size)
 
 
+def _weighted_chunks(n_components: int, batch_size: int, scheme: Scheme, cap):
+    """The batch space as ``(idx, weights)`` chunks, in enumeration order.
+
+    ``idx`` stacks consecutive batches from :func:`enumerate_batches` as an
+    ``(m, batch_size)`` index array, and ``weights[i]`` is the exact
+    :func:`batch_probability` of row i. A batch's probability depends only on
+    where its runs of equal indices start (every row starts a run at each
+    index without replacement), so it is computed once per run pattern.
+    """
+    batches = enumerate_batches(n_components, batch_size, scheme, cap=cap)
+    rows = max(1, _CHUNK_INDICES // batch_size)
+    row_type = np.dtype((np.intp, batch_size))
+    by_pattern: dict[bytes, float] = {}
+    while True:
+        chunk = islice(batches, rows)
+        idx = np.fromiter(map(attrgetter("indices"), chunk), dtype=row_type)
+        if not len(idx):
+            return
+        starts = np.packbits(np.diff(idx, axis=1, prepend=-1) != 0, axis=1)
+        patterns = starts.view(np.dtype((np.void, starts.shape[1]))).ravel().tolist()
+        for i, pattern in enumerate(patterns):
+            if pattern not in by_pattern:
+                batch = Batch(tuple(idx[i].tolist()), scheme)
+                by_pattern[pattern] = batch_probability(batch, n_components)
+        yield idx, np.array([by_pattern[pattern] for pattern in patterns])
+
+
+def _add_in_order(total: float, terms: np.ndarray) -> float:
+    """``total + terms[0] + terms[1] + ...``, rounded after each addition."""
+    return float(np.cumsum(np.concatenate(([total], terms)))[-1])
+
+
 def exact_batch_variance(
     problem: FiniteSumProblem,
     x,
@@ -82,10 +132,9 @@ def exact_batch_variance(
     grads = gradient_matrix(problem, x)
     center = grads.mean(axis=0)
     total = 0.0
-    for batch in enumerate_batches(problem.n_components, batch_size, scheme, cap=cap):
-        weight = batch_probability(batch, problem.n_components)
-        dev = grads[list(batch.indices)].mean(axis=0) - center
-        total += weight * float(dev @ dev)
+    for idx, weights in _weighted_chunks(problem.n_components, batch_size, scheme, cap):
+        dev = grads[idx].mean(axis=1) - center
+        total = _add_in_order(total, weights * np.vecdot(dev, dev))
     return total
 
 
@@ -134,12 +183,11 @@ def average_batch_covariance(
     centered -= centered.mean(axis=0)
     pair_count = batch_size * (batch_size - 1)
     total = 0.0
-    for batch in enumerate_batches(
-        problem.n_components, batch_size, Scheme.WITHOUT_REPLACEMENT, cap=cap
+    for idx, weights in _weighted_chunks(
+        problem.n_components, batch_size, Scheme.WITHOUT_REPLACEMENT, cap
     ):
-        weight = batch_probability(batch, problem.n_components)
-        rows = centered[list(batch.indices)]
-        row_sum = rows.sum(axis=0)
-        pair_sum = float(row_sum @ row_sum - (rows * rows).sum())
-        total += weight * (pair_sum / pair_count)
+        rows = centered[idx]
+        row_sum = rows.sum(axis=1)
+        pair_sum = np.vecdot(row_sum, row_sum) - (rows * rows).sum(axis=(1, 2))
+        total = _add_in_order(total, weights * (pair_sum / pair_count))
     return total

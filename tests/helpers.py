@@ -1,7 +1,13 @@
 """Independent numeric oracles shared across the test suite."""
 import numpy as np
 
-from varbatch import Batch, Scheme
+from varbatch import (
+    Batch,
+    Scheme,
+    batch_probability,
+    enumerate_batches,
+    gradient_matrix,
+)
 
 
 def central_difference_gradient(func, x, h=1e-6):
@@ -65,3 +71,37 @@ def dense_sample_without_replacement(rng, n_components, batch_size):
         r = rng.integers(j, n_components)
         pool[j], pool[r] = pool[r], pool[j]
     return Batch(tuple(sorted(pool[:batch_size])), Scheme.WITHOUT_REPLACEMENT)
+
+
+def loop_exact_batch_variance(problem, x, batch_size, scheme, cap=None):
+    """``exact_batch_variance`` as a per-batch loop, as the library first shipped it.
+
+    Reference for the chunked oracle, which must match it bit for bit: one
+    ``batch_probability`` and one row mean per enumerated batch, added to a
+    running Python float in enumeration order.
+    """
+    grads = gradient_matrix(problem, x)
+    center = grads.mean(axis=0)
+    total = 0.0
+    for batch in enumerate_batches(problem.n_components, batch_size, scheme, cap=cap):
+        weight = batch_probability(batch, problem.n_components)
+        dev = grads[list(batch.indices)].mean(axis=0) - center
+        total += weight * float(dev @ dev)
+    return total
+
+
+def loop_average_batch_covariance(problem, x, batch_size, cap=None):
+    """``average_batch_covariance`` as a per-batch loop, as first shipped."""
+    centered = gradient_matrix(problem, x)
+    centered -= centered.mean(axis=0)
+    pair_count = batch_size * (batch_size - 1)
+    total = 0.0
+    for batch in enumerate_batches(
+        problem.n_components, batch_size, Scheme.WITHOUT_REPLACEMENT, cap=cap
+    ):
+        weight = batch_probability(batch, problem.n_components)
+        rows = centered[list(batch.indices)]
+        row_sum = rows.sum(axis=0)
+        pair_sum = float(row_sum @ row_sum - (rows * rows).sum())
+        total += weight * (pair_sum / pair_count)
+    return total

@@ -198,6 +198,14 @@ def test_config_file_errors_name_the_file(tmp_path, capsys, command, line, named
     assert str(cfg) in err and named in err
 
 
+def test_config_file_not_utf8_names_file_and_offset(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"kmax = 3\n\xff = 1\n")
+    assert main(["growth-curve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "byte 9" in err
+
+
 @pytest.mark.parametrize(
     ("command", "settings", "outputs"),
     [

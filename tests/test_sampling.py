@@ -222,3 +222,21 @@ def test_without_replacement_inclusion_probability():
         counts.update(sample_without_replacement(rng, 6, 2).indices)
     for i in range(6):
         assert counts[i] / draws == pytest.approx(2 / 6, abs=0.02)
+
+
+def test_trusted_batches_pass_the_public_checks():
+    # Enumeration and both samplers skip Batch's checks; every batch they
+    # build must be one that Batch(...) accepts and compares equal to.
+    rng = SeededRng(17)
+    for n in range(1, 7):
+        for size in range(1, n + 1):
+            built = [
+                *enumerate_batches(n, size, WITHOUT),
+                *enumerate_batches(n, size, WITH),
+                *(sample_without_replacement(rng, n, size) for _ in range(20)),
+                *(sample_with_replacement(rng, n, size) for _ in range(20)),
+            ]
+            for batch in built:
+                assert type(batch) is Batch
+                assert all(type(i) is int for i in batch.indices)
+                assert batch == Batch(batch.indices, batch.scheme)

@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
+import varbatch.variance as variance
+from helpers import loop_average_batch_covariance, loop_exact_batch_variance
 from varbatch import (
     Scheme,
     SeededRng,
@@ -16,6 +20,7 @@ from varbatch import (
     exact_batch_variance,
     full_gradient,
     make_least_squares,
+    make_logistic,
 )
 
 WITH = Scheme.WITH_REPLACEMENT
@@ -147,3 +152,85 @@ def test_analytic_variance_strictly_decreasing_in_batch_size(scheme):
     values = [analytic_variance(scheme, 5.0, n, size) for size in range(1, n + 1)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
+
+def oracle_problems(n):
+    """Least squares in 1 and 9 dimensions and a logistic problem, N = n."""
+    rng = np.random.default_rng(500 + n)
+    for d in (1, 9):
+        problem = make_least_squares(rng.normal(size=(n, d)), rng.normal(size=n))
+        yield problem, rng.normal(size=d)
+    labels = np.where(rng.normal(size=n) > 0, 1.0, -1.0)
+    yield make_logistic(rng.normal(size=(n, 2)), labels), rng.normal(size=2)
+
+
+def test_chunked_oracles_equal_per_batch_loop(monkeypatch):
+    # At 64 indices per chunk the larger batch spaces span several chunks;
+    # the sums must not notice where the boundaries fall.
+    chunk_sizes = (variance._CHUNK_INDICES, 64)
+    for n in range(1, 8):
+        for problem, x in oracle_problems(n):
+            for size in range(1, n + 1):
+                expected = [
+                    loop_exact_batch_variance(problem, x, size, scheme)
+                    for scheme in (WITHOUT, WITH)
+                ]
+                if size >= 2:
+                    expected.append(loop_average_batch_covariance(problem, x, size))
+                for chunk_indices in chunk_sizes:
+                    monkeypatch.setattr(variance, "_CHUNK_INDICES", chunk_indices)
+                    observed = [
+                        exact_batch_variance(problem, x, size, scheme)
+                        for scheme in (WITHOUT, WITH)
+                    ]
+                    if size >= 2:
+                        observed.append(average_batch_covariance(problem, x, size))
+                    assert observed == expected
+
+
+def test_oracles_never_call_closed_forms(monkeypatch, random_ls):
+    def closed_form(*args, **kwargs):
+        raise AssertionError("an enumeration oracle called a closed form")
+
+    for name in (
+        "analytic_variance",
+        "analytic_variance_with_replacement",
+        "analytic_variance_without_replacement",
+    ):
+        monkeypatch.setattr(variance, name, closed_form)
+    problem = random_ls(5, d=2, seed=3)
+    x = np.array([0.3, -0.7])
+    for size in range(1, 6):
+        for scheme in (WITHOUT, WITH):
+            exact_batch_variance(problem, x, size, scheme)
+        if size >= 2:
+            average_batch_covariance(problem, x, size)
+    with pytest.raises(AssertionError):
+        variance.analytic_variance(WITH, 1.0, 5, 2)
+
+
+@pytest.mark.parametrize("scheme", [WITHOUT, WITH])
+def test_chunk_weights_equal_batch_probability(monkeypatch, scheme):
+    monkeypatch.setattr(variance, "_CHUNK_INDICES", 7)
+    for n in range(1, 7):
+        for size in range(1, (n if scheme is WITHOUT else 6) + 1):
+            chunks = list(variance._weighted_chunks(n, size, scheme, None))
+            batches = list(enumerate_batches(n, size, scheme))
+            rows = [tuple(row) for idx, _ in chunks for row in idx.tolist()]
+            weights = [w for _, chunk in chunks for w in chunk.tolist()]
+            assert rows == [b.indices for b in batches]
+            assert weights == [batch_probability(b, n) for b in batches]
+
+
+@pytest.mark.parametrize(("n", "size"), [(2, 64), (3, 40)])
+def test_chunk_weights_stay_exact_for_long_batches(n, size):
+    # k! overflows 64-bit integers from k = 21 on; the weights must not.
+    weights = np.concatenate(
+        [w for _, w in variance._weighted_chunks(n, size, WITH, None)]
+    )
+    assert np.isfinite(weights).all() and (weights > 0).all()
+    assert abs(math.fsum(weights) - 1.0) <= 1e-12
+    problem = make_least_squares(np.eye(n, 2), np.arange(1.0, n + 1))
+    x = np.array([0.5, -0.25])
+    oracle = exact_batch_variance(problem, x, size, WITH, cap=None)
+    var_comp = component_gradient_variance(problem, x)
+    assert abs(oracle - var_comp / size) <= 1e-10
