@@ -130,7 +130,8 @@ def batch_gradient(problem: FiniteSumProblem, x, batch: Batch) -> np.ndarray:
             f"batch index {batch.indices[-1]} out of range for "
             f"{problem.n_components} components"
         )
-    return problem.gradients(np.array(batch.indices), x).mean(axis=0)
+    indices = np.fromiter(batch.indices, np.intp, batch.size)
+    return problem.gradients(indices, x).mean(axis=0)
 
 
 def gradient_stats(problem: FiniteSumProblem, x) -> GradientStats:

@@ -17,6 +17,10 @@ from typing import Iterable, Iterator
 import numpy as np
 
 DEFAULT_ENUMERATION_CAP = 1_000_000
+# Subset draws of at least this many indices take the loop-free path. Its
+# dozen numpy calls cost a few tens of microseconds at any size, the dict
+# loop about 0.3-0.5 us per index; the two cross near 100 indices.
+_LOOP_FREE_MIN_SIZE = 100
 
 
 class Scheme(Enum):
@@ -49,7 +53,9 @@ class SeededRng:
     so results do not depend on numpy's internal selection algorithms; it
     takes all its offsets from one vectorised bounded draw, which yields the
     same values and leaves the same generator state as one scalar draw per
-    step.
+    step. Small draws replay the swaps in a dict loop and large ones compute
+    the same batch loop-free, so batch streams are bit-identical whichever
+    path a draw takes.
 
     Instances own mutable generator state; use one per thread.
     """
@@ -137,13 +143,18 @@ def sample_without_replacement(rng: SeededRng, n_components: int, batch_size: in
     """Draw a uniformly distributed ``batch_size``-subset of ``[0, n_components)``.
 
     Uses a sparse partial Fisher-Yates shuffle: step j swaps pool slot j with
-    a uniform slot r in ``[j, n_components)``, and after ``batch_size`` steps
-    the pool's prefix is a uniform random subset. The pool is the identity
-    except at displaced slots, which a dict holds, so a draw costs
-    O(batch_size) time and memory whatever the population size. The offsets
-    r come from one vectorised bounded draw that matches ``batch_size``
-    scalar draws value for value and in generator state, so batch streams
-    are bit-identical to a dense shuffle over ``list(range(n_components))``.
+    a uniform slot r_j in ``[j, n_components)``, and after ``batch_size``
+    steps the pool's prefix is a uniform random subset. The offsets r_j come
+    from one vectorised bounded draw that matches ``batch_size`` scalar draws
+    value for value and in generator state, so batch streams are
+    bit-identical to a dense shuffle over ``list(range(n_components))``.
+
+    The pool is the identity except at displaced slots, so a draw costs
+    O(batch_size) memory whatever the population size. Below
+    ``_LOOP_FREE_MIN_SIZE`` indices a dict of the displaced slots replays
+    the swaps one step at a time; from there on, where numpy's fixed
+    per-call costs are repaid, :func:`_fisher_yates_batch` computes the same
+    prefix in a few array passes and O(batch_size log batch_size) time.
     """
     if n_components < 1:
         raise ValueError("population must contain at least one component")
@@ -151,13 +162,54 @@ def sample_without_replacement(rng: SeededRng, n_components: int, batch_size: in
         raise ValueError(
             f"batch size must be in [1, {n_components}], got {batch_size}"
         )
+    offsets = rng.integers(np.arange(batch_size), n_components)
+    if batch_size >= _LOOP_FREE_MIN_SIZE:
+        return _canonical(
+            tuple(_fisher_yates_batch(offsets).tolist()), Scheme.WITHOUT_REPLACEMENT
+        )
     moved: dict[int, int] = {}
     chosen = []
-    for j, r in enumerate(rng.integers(range(batch_size), n_components).tolist()):
+    for j, r in enumerate(offsets.tolist()):
         chosen.append(moved.get(r, r))
         # Slot j is never read again, so only slot r needs the swapped value.
         moved[r] = moved.get(j, j)
     return _canonical(tuple(np.sort(chosen).tolist()), Scheme.WITHOUT_REPLACEMENT)
+
+
+def _fisher_yates_batch(offsets: np.ndarray) -> np.ndarray:
+    """Sorted pool prefix after the partial Fisher-Yates swaps ``offsets``, loop-free.
+
+    With k = ``offsets.size`` and r_j = ``offsets[j]`` in ``[j, N)``: slot
+    t < k is written only by steps j <= t, so the value it holds just before
+    step t, root(t), is root(j) for the last step j < t with r_j == t, or t
+    if there is none. Following these links to their fixed point by pointer
+    doubling takes at most ceil(log2 k) + 1 rounds, since each link points
+    to a smaller slot. Every outer slot s >= k that some r_j hits ends up in
+    the batch, and the prefix loses root(j) for the last step j that hits s.
+    The kept prefix slots and the distinct outer slots are each sorted, and
+    every outer slot exceeds every prefix slot, so their concatenation is
+    the sorted batch. A self-hit r_t == t links slot t to itself and so
+    loses root(t), but step t links no other slot, so that root is never read.
+    """
+    size = offsets.size
+    order = np.argsort(offsets)
+    targets = offsets[order]
+    first = np.ones(size, bool)
+    first[1:] = targets[1:] != targets[:-1]
+    # The argsort is unstable, so take each slot's last step as a maximum:
+    # numpy does not say which of several writes to one slot wins.
+    last_step = np.zeros(np.count_nonzero(first), np.intp)
+    np.maximum.at(last_step, np.cumsum(first) - 1, order)
+    targets = targets[first]
+    inner = np.searchsorted(targets, size)
+    root = np.arange(size)
+    root[targets[:inner]] = last_step[:inner]
+    hop = root[root]
+    while not np.array_equal(hop, root):
+        root, hop = hop, hop[hop]
+    kept = np.ones(size, bool)
+    kept[root[last_step[inner:]]] = False
+    return np.concatenate((np.flatnonzero(kept), targets[inner:]))
 
 
 def count_batches(n_components: int, batch_size: int, scheme: Scheme) -> int:

@@ -122,7 +122,7 @@ def _snap_ceil(value: float) -> int:
 
 def batch_bound_with_replacement(cap: VarianceCap | float, eps: float) -> float:
     """Real-valued lower bound C / eps on the with-replacement batch size."""
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     if not isinstance(cap, VarianceCap):
         cap = VarianceCap(cap)
@@ -136,7 +136,7 @@ def batch_bound_without_replacement(
 
     Where N*C overflows, the equal N / ((N-1)*(eps/C) + 1) is used instead.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     if n_components < 1:
         raise ValueError("population must contain at least one component")

@@ -73,6 +73,22 @@ def dense_sample_without_replacement(rng, n_components, batch_size):
     return Batch(tuple(sorted(pool[:batch_size])), Scheme.WITHOUT_REPLACEMENT)
 
 
+def dict_loop_batch(offsets):
+    """Sorted pool prefix after the sparse Fisher-Yates swaps ``offsets``.
+
+    Reference for the sampler's loop-free path: the dict loop that
+    ``sample_without_replacement`` runs on small batches, verbatim, over
+    offsets ``r_j`` in ``[j, N)`` given as an array.
+    """
+    moved: dict[int, int] = {}
+    chosen = []
+    for j, r in enumerate(offsets.tolist()):
+        chosen.append(moved.get(r, r))
+        # Slot j is never read again, so only slot r needs the swapped value.
+        moved[r] = moved.get(j, j)
+    return np.sort(chosen).tolist()
+
+
 def loop_exact_batch_variance(problem, x, batch_size, scheme, cap=None):
     """``exact_batch_variance`` as a per-batch loop, as the library first shipped it.
 

@@ -5,10 +5,12 @@ stays deterministic.
 """
 import tempfile
 
+import numpy as np
 from hypothesis import configuration, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from helpers import dense_sample_without_replacement
+from helpers import dense_sample_without_replacement, dict_loop_batch
 from varbatch import (
     BatchSizeRule,
     EpsilonSchedule,
@@ -23,6 +25,7 @@ from varbatch import (
     sample_with_replacement,
     sample_without_replacement,
 )
+from varbatch.sampling import _fisher_yates_batch
 
 # Ceilings snap values within 1e-9 (relative) of an integer.
 SNAP = 1e-9
@@ -110,3 +113,18 @@ def test_sparse_sampler_matches_dense_reference(seed, n, size_share):
         dense, n, size
     )
     assert sparse.integers(0, n) == dense.integers(0, n)
+
+
+# Half the examples of the others: each long array costs hypothesis about 5 ms.
+@settings(examples, max_examples=75)
+@given(
+    n=st.integers(1, 3000) | st.integers(1, 2**40),
+    jumps=arrays(np.int64, st.integers(1, 2000), elements=st.integers(0, 2**40)),
+)
+def test_loop_free_batch_matches_dict_loop(n, jumps):
+    # Every valid offset array r_j in [j, n) is j + jumps[j], clipped to n - 1
+    # for a population smaller than the jump. Hypothesis fills most of a long
+    # array with one value, which gives self-hits, chains and collisions.
+    size = min(n, jumps.size)
+    offsets = np.minimum(np.arange(size) + jumps[:size], n - 1)
+    assert _fisher_yates_batch(offsets).tolist() == dict_loop_batch(offsets)

@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from helpers import dense_sample_without_replacement
+from helpers import dense_sample_without_replacement, dict_loop_batch
 from varbatch import (
     Batch,
     EnumerationCapError,
@@ -18,6 +18,7 @@ from varbatch import (
     sample_with_replacement,
     sample_without_replacement,
 )
+from varbatch.sampling import _LOOP_FREE_MIN_SIZE, _fisher_yates_batch
 
 WITH = Scheme.WITH_REPLACEMENT
 WITHOUT = Scheme.WITHOUT_REPLACEMENT
@@ -57,15 +58,45 @@ def test_sample_without_replacement_full_population():
 def test_sparse_sampler_stream_matches_dense_reference():
     # Same batches and, through the interleaved with-replacement draws, the
     # same generator state after every call; 2**32 + 5 takes numpy's 64-bit
-    # bounded path, the others its 32-bit one.
-    cases = ((1, 1), (2, 2), (9, 3), (50, 50), (1000, 37), (10**5, 500), (2**32 + 5, 40))
+    # bounded path, the others its 32-bit one. Sizes 99, 100 and 101 sit
+    # around the sampler's loop-free threshold. The dense reference takes
+    # about 3 ms at (1000, 1000) and 50 ms at (30000, 20000), so the larger
+    # shapes run for every 8th and every 100th seed.
+    cases = (
+        (1, 1), (2, 2), (9, 3), (50, 50), (1000, 37), (10**5, 500), (2**32 + 5, 40),
+        (120, 99), (120, 100), (120, 101),
+    )
+    large = ((1000, 1000), (2**32 + 5, 500))
     for seed in range(200):
         sparse, dense = SeededRng(seed), SeededRng(seed)
-        for n, size in cases:
+        shapes = cases + (large if seed % 8 == 0 else ())
+        for n, size in shapes + (((30000, 20000),) if seed % 100 == 0 else ()):
             expected = dense_sample_without_replacement(dense, n, size)
             assert sample_without_replacement(sparse, n, size) == expected
             assert sample_with_replacement(sparse, n, 3) == sample_with_replacement(dense, n, 3)
         assert sparse.integers(0, 2**62) == dense.integers(0, 2**62)
+
+
+def test_loop_free_batch_matches_dict_loop_on_crafted_offsets():
+    # Offsets that PCG draws almost never produce: no swaps at all, one
+    # chain through every prefix slot (the longest pointer-doubling case),
+    # every step hitting the last slot, a reversal, and full populations.
+    for size in (1, 2, 3, 100, 101, 1000, 1025):
+        steps = np.arange(size)
+        for n in (size, size + 1, 2 * size, 2**40):
+            for offsets in (
+                steps,
+                np.minimum(steps + 1, n - 1),
+                np.full(size, n - 1),
+                np.maximum(steps, n - 1 - steps),
+            ):
+                expected = dict_loop_batch(offsets)
+                assert _fisher_yates_batch(offsets).tolist() == expected
+    full = SeededRng(3).integers(np.arange(500), 500)
+    assert _fisher_yates_batch(full).tolist() == dict_loop_batch(full) == list(range(500))
+    # The property tests of the sampler draw sizes up to 200; both paths
+    # must be inside that range.
+    assert 1 < _LOOP_FREE_MIN_SIZE <= 200
 
 
 def test_sample_without_replacement_huge_population():
@@ -226,17 +257,18 @@ def test_without_replacement_inclusion_probability():
 
 def test_trusted_batches_pass_the_public_checks():
     # Enumeration and both samplers skip Batch's checks; every batch they
-    # build must be one that Batch(...) accepts and compares equal to.
+    # build must be one that Batch(...) accepts and compares equal to. The
+    # last shapes are large enough for the loop-free subset path.
     rng = SeededRng(17)
-    for n in range(1, 7):
-        for size in range(1, n + 1):
-            built = [
-                *enumerate_batches(n, size, WITHOUT),
-                *enumerate_batches(n, size, WITH),
-                *(sample_without_replacement(rng, n, size) for _ in range(20)),
-                *(sample_with_replacement(rng, n, size) for _ in range(20)),
-            ]
-            for batch in built:
-                assert type(batch) is Batch
-                assert all(type(i) is int for i in batch.indices)
-                assert batch == Batch(batch.indices, batch.scheme)
+    shapes = [(n, size) for n in range(1, 7) for size in range(1, n + 1)]
+    for n, size in shapes + [(100, 100), (1000, 101), (2**32 + 5, 500)]:
+        built = [
+            *(sample_without_replacement(rng, n, size) for _ in range(20)),
+            *(sample_with_replacement(rng, n, size) for _ in range(20)),
+        ]
+        if n <= 6:
+            built += [*enumerate_batches(n, size, WITHOUT), *enumerate_batches(n, size, WITH)]
+        for batch in built:
+            assert type(batch) is Batch
+            assert all(type(i) is int for i in batch.indices)
+            assert batch == Batch(batch.indices, batch.scheme)

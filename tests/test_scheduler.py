@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -69,8 +71,11 @@ def test_with_replacement_rule_worked_values():
     assert min_batch_with_replacement(C10, 1e-5, 30000) == 30000
     assert min_batch_with_replacement(C10, 10.0, 30000) == 1
     assert min_batch_with_replacement(C10, 25.0, 30000) == 1
-    with pytest.raises(ValueError):
-        min_batch_with_replacement(C10, 0.0, 30000)
+    for eps in (0.0, math.nan):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            min_batch_with_replacement(C10, eps, 30000)
+        with pytest.raises(ValueError, match="eps must be positive"):
+            batch_bound_with_replacement(C10, eps)
     # C / eps overflows to inf: the truncated size is N, the raw one has none.
     assert min_batch_with_replacement(VarianceCap(1e10), 1e-300, 30000) == 30000
     with pytest.raises(ValueError, match="overflows"):
@@ -85,8 +90,11 @@ def test_without_replacement_rule_worked_values():
     # N * C overflows in both, yet the bound lies in (0, N].
     assert min_batch_without_replacement(1e305, 30000, 1.0) == 30000
     assert min_batch_without_replacement(1e308, 5, 1e308) == 1
-    with pytest.raises(ValueError):
-        min_batch_without_replacement(C10, 30000, -1.0)
+    for eps in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            min_batch_without_replacement(C10, 30000, eps)
+        with pytest.raises(ValueError, match="eps must be positive"):
+            batch_bound_without_replacement(C10, 100, eps)
 
 
 def test_without_replacement_snap_keeps_variance_within_eps():
