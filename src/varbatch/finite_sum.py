@@ -4,12 +4,12 @@ The central object is :class:`FiniteSumProblem`: an average of N component
 functions whose values and gradients are evaluated for a batch of component
 indices at once. Built-in least-squares and logistic test problems come with
 analytic gradients written as numpy formulas over the rows of their data, and
-small delimited-text datasets can be loaded from disk.
+delimited-text datasets are read from disk in one pass by numpy's C parser,
+whose cells are ASCII decimal floats.
 """
 from __future__ import annotations
 
-import math
-from array import array
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -236,43 +236,68 @@ def load_dataset(path) -> tuple[np.ndarray, np.ndarray]:
 
     One row per component; the label/target sits in the last column. Fields
     are separated by commas, if the first data line has one, or else by
-    whitespace. Blank lines and lines starting with ``#`` are skipped. Parse
-    problems and non-finite cells (``nan``, ``inf``) raise
-    :class:`DatasetFormatError` naming the offending line.
+    whitespace. Blank lines and lines starting with ``#`` are skipped; a
+    ``#`` later in a line is not a comment. Cells are ASCII decimal floats as
+    numpy's ``loadtxt`` reads them, so digit-group underscores (``1_0``) and
+    non-ASCII digits are rejected. Parse problems, ragged rows and non-finite
+    cells (``nan``, ``inf``) raise :class:`DatasetFormatError` naming the
+    first offending line. Both results are views of one (N, d + 1) array.
     """
-    cells = array("d")  # row-major doubles, not a Python float per cell
-    width = None
-    separator = None
     # Undecodable bytes become unparsable cells, so a binary file is a format error.
+    with open(path, errors="surrogateescape") as fh:
+        lines = (line for line in map(str.strip, fh) if line and not line.startswith("#"))
+        first = next(lines, None)
+        if first is None:
+            raise DatasetFormatError(f"{path}: no data rows")
+        separator = "," if "," in first else None
+        try:
+            data = _parse_rows(itertools.chain((first,), lines), separator)
+        except ValueError:
+            data = None
+    if data is None or data.shape[1] < 2 or not np.isfinite(data).all():
+        raise _first_format_error(path, separator)
+    return data[:, :-1], data[:, -1]
+
+
+def _parse_rows(lines, separator) -> np.ndarray:
+    """Parse data lines in C into a float64 (rows, fields) array.
+
+    ``comments=None``: a ``#`` after the first character of a line stays part
+    of its cell, and so an error.
+    """
+    return np.loadtxt(lines, delimiter=separator, comments=None, ndmin=2)
+
+
+def _first_format_error(path, separator) -> DatasetFormatError:
+    """Error naming the first bad line of a file the one-pass parse rejected.
+
+    Reads the file again, line by line, with the same parser, and checks each
+    line in turn: parse, finite cells, then width.
+    """
+    width = None
     with open(path, errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            if width is None:
-                separator = "," if "," in line else None
-            parts = line.split(separator)
             try:
-                values = [float(part) for part in parts]
+                row = _parse_rows((line,), separator)[0]
             except ValueError:
-                raise DatasetFormatError(
+                return DatasetFormatError(
                     f"{path}: line {lineno}: could not parse {line!r} as numbers"
-                ) from None
-            if not all(map(math.isfinite, values)):
-                raise DatasetFormatError(f"{path}: line {lineno}: non-finite value in {line!r}")
+                )
+            if not np.isfinite(row).all():
+                return DatasetFormatError(f"{path}: line {lineno}: non-finite value in {line!r}")
             if width is None:
-                width = len(values)
+                width = len(row)
                 if width < 2:
-                    raise DatasetFormatError(
+                    return DatasetFormatError(
                         f"{path}: line {lineno}: need at least one feature column "
                         "plus a label column"
                     )
-            elif len(values) != width:
-                raise DatasetFormatError(
-                    f"{path}: line {lineno}: expected {width} fields, got {len(values)}"
+            elif len(row) != width:
+                return DatasetFormatError(
+                    f"{path}: line {lineno}: expected {width} fields, got {len(row)}"
                 )
-            cells.extend(values)
-    if width is None:
-        raise DatasetFormatError(f"{path}: no data rows")
-    data = np.frombuffer(cells).reshape(-1, width)
-    return data[:, :-1], data[:, -1]
+    # The file changed between the two reads, or the parses disagree.
+    return DatasetFormatError(f"{path}: could not read the file as a numeric table")

@@ -45,7 +45,7 @@ class EpsilonSchedule:
             if self.rho is None or not 0.0 < self.rho < 1.0:
                 raise ValueError("geometric schedule needs rho in (0, 1)")
         elif self.kind == POWER_LAW:
-            if self.exponent is None or self.exponent <= 1.0:
+            if self.exponent is None or not self.exponent > 1.0:  # NaN fails too
                 raise ValueError(
                     "power-law schedule needs exponent > 1 for a summable sequence"
                 )

@@ -1,8 +1,12 @@
 """Independent numeric oracles shared across the test suite."""
+import math
+from array import array
+
 import numpy as np
 
 from varbatch import (
     Batch,
+    DatasetFormatError,
     Scheme,
     batch_probability,
     enumerate_batches,
@@ -121,3 +125,48 @@ def loop_average_batch_covariance(problem, x, batch_size, cap=None):
         pair_sum = float(row_sum @ row_sum - (rows * rows).sum())
         total += weight * (pair_sum / pair_count)
     return total
+
+
+def reference_load_dataset(path):
+    """``load_dataset`` as a per-cell ``float()`` loop, as the library first shipped it.
+
+    Reference for the one-pass numpy parse, which must return the same bytes
+    and raise the same messages on every file that both accept as ASCII
+    decimal text. The body is the original.
+    """
+    cells = array("d")  # row-major doubles, not a Python float per cell
+    width = None
+    separator = None
+    # Undecodable bytes become unparsable cells, so a binary file is a format error.
+    with open(path, errors="surrogateescape") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if width is None:
+                separator = "," if "," in line else None
+            parts = line.split(separator)
+            try:
+                values = [float(part) for part in parts]
+            except ValueError:
+                raise DatasetFormatError(
+                    f"{path}: line {lineno}: could not parse {line!r} as numbers"
+                ) from None
+            if not all(map(math.isfinite, values)):
+                raise DatasetFormatError(f"{path}: line {lineno}: non-finite value in {line!r}")
+            if width is None:
+                width = len(values)
+                if width < 2:
+                    raise DatasetFormatError(
+                        f"{path}: line {lineno}: need at least one feature column "
+                        "plus a label column"
+                    )
+            elif len(values) != width:
+                raise DatasetFormatError(
+                    f"{path}: line {lineno}: expected {width} fields, got {len(values)}"
+                )
+            cells.extend(values)
+    if width is None:
+        raise DatasetFormatError(f"{path}: no data rows")
+    data = np.frombuffer(cells).reshape(-1, width)
+    return data[:, :-1], data[:, -1]

@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from helpers import brute_force_component_variance, central_difference_gradient
+from helpers import (
+    brute_force_component_variance,
+    central_difference_gradient,
+    reference_load_dataset,
+)
 from varbatch import (
     DatasetFormatError,
     EvaluationError,
@@ -20,6 +24,7 @@ from varbatch import (
     make_logistic,
     objective_value,
 )
+from varbatch import finite_sum
 
 X0 = np.array([0.0])
 
@@ -275,3 +280,71 @@ def test_load_dataset_needs_label_column(tmp_path):
     path.write_text("1\n2\n")
     with pytest.raises(DatasetFormatError, match="label column"):
         load_dataset(path)
+
+
+# Files that both parsers reject, each with its first bad line.
+MALFORMED_FILES = {
+    "ragged-short": b"1,2,1\n0,1\n",
+    "ragged-long": b"1,2\n0,1,3\n",
+    "nan": b"# header\n1,2,1\n0,nan,1\n",
+    "inf-first-line": b"inf 1\n2 3\n",
+    "overflow": b"1,2\n1e999,3\n",
+    "non-finite-before-width": b"1,2,3\n4,-inf\n",
+    "width-1": b"1\n2\n",
+    "width-1-nan": b"nan\n",
+    "width-1-then-text": b"5\nx\n",
+    "empty": b"",
+    "only-skipped-lines": b"# a\n\n   \n  # b, c\n",
+    "binary": b"\x00\xff\xfe\x01\x89PNG\n",
+    "binary-later": b"1,2\n\xff\xfe,3\n",
+    "trailing-comma": b"1,2,\n",
+    "empty-cell": b"1,,2\n",
+    "mid-line-comment": b"1,2\n3,4 # note\n",
+    "comma-then-spaces": b"1,2,3\n4 5 6\n",
+    "spaces-then-comma": b"1 2 3\n4,5,6\n",
+    "mixed-in-line": b"1,2 3\n",
+    "header-row": b"x,y\n1,2\n",
+    "quoted": b'"1",2\n',
+    "hex": b"0x1,2\n",
+    "crlf-ragged": b"1,2\r\n\r\n3\r\n",
+    "spaces-around-commas-ragged": b" 1 , 2 \n 3 , 4 , 5\n",
+    "late-after-skipped-lines": b"1,2\n\n# c\n" * 20 + b"1,x\n",
+}
+
+
+@pytest.mark.parametrize("content", MALFORMED_FILES.values(), ids=MALFORMED_FILES)
+def test_load_dataset_errors_match_float_loop(tmp_path, content):
+    path = tmp_path / "data.csv"
+    path.write_bytes(content)
+    with pytest.raises(DatasetFormatError) as want:
+        reference_load_dataset(path)
+    with pytest.raises(DatasetFormatError) as got:
+        load_dataset(path)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("cell", ["1_0", "\u0661"])
+def test_load_dataset_rejects_cells_only_float_reads(tmp_path, cell):
+    # float() reads digit-group underscores and non-ASCII digits; numpy does not.
+    path = tmp_path / "data.csv"
+    path.write_text(f"1,2\n{cell},3\n", encoding="utf-8")
+    assert reference_load_dataset(path)[0][1, 0] == float(cell)
+    with pytest.raises(DatasetFormatError, match="line 2: could not parse"):
+        load_dataset(path)
+
+
+def test_load_dataset_rescan_without_a_bad_line_names_the_file(tmp_path, monkeypatch):
+    # The one-pass parse fails, and every line passes alone: as if the file
+    # had been mended between the two reads.
+    path = tmp_path / "data.csv"
+    path.write_text("1,2\n3,4\n")
+    parse = finite_sum._parse_rows
+
+    def fail_first_call(lines, separator):
+        monkeypatch.setattr(finite_sum, "_parse_rows", parse)
+        raise ValueError("injected")
+
+    monkeypatch.setattr(finite_sum, "_parse_rows", fail_first_call)
+    with pytest.raises(DatasetFormatError) as err:
+        load_dataset(path)
+    assert str(err.value) == f"{path}: could not read the file as a numeric table"

@@ -1,16 +1,18 @@
-"""Property checks of the size rules' defining inequalities and the samplers.
+"""Property checks of the size rules' defining inequalities, the samplers and
+the dataset parser.
 
 Examples are derandomized and no example database is kept, so the suite
 stays deterministic.
 """
 import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import configuration, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import dense_sample_without_replacement, dict_loop_batch
+from helpers import dense_sample_without_replacement, dict_loop_batch, reference_load_dataset
 from varbatch import (
     BatchSizeRule,
     EpsilonSchedule,
@@ -19,6 +21,7 @@ from varbatch import (
     VarianceCap,
     analytic_variance_with_replacement,
     analytic_variance_without_replacement,
+    load_dataset,
     min_batch_with_replacement,
     min_batch_without_replacement,
     next_batch_size,
@@ -128,3 +131,49 @@ def test_loop_free_batch_matches_dict_loop(n, jumps):
     size = min(n, jumps.size)
     offsets = np.minimum(np.arange(size) + jumps[:size], n - 1)
     assert _fisher_yates_batch(offsets).tolist() == dict_loop_batch(offsets)
+
+
+# Lossless and rounded spellings of one float, signed and exponent forms included.
+CELL_FORMS = ("{!r}", "{:.17g}", "{:+.17g}", "{:.17e}", "{:.6E}", "{:.3f}")
+COMMA_GAPS = (",", ", ", " ,", " , ", ",\t")
+SPACE_GAPS = (" ", "\t", "  ", " \t ")
+INDENTS = ("", "", " ", "\t")
+SKIPPED_LINES = ("", "   ", "# note, 1, 2", "  # 3 4", "\t#")
+
+
+@examples
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 12),
+    width=st.integers(2, 6),
+    comma=st.booleans(),
+    crlf=st.booleans(),
+)
+def test_load_dataset_matches_float_loop(seed, rows, width, comma, crlf):
+    gen = np.random.default_rng(seed)
+    # Magnitudes from subnormal to 1e300, with signed zeros.
+    values = gen.normal(size=(rows, width)) * 10.0 ** gen.integers(-320, 300, (rows, width))
+    values[gen.random(values.shape) < 0.1] = 0.0
+    values[gen.random(values.shape) < 0.05] = -0.0
+    gaps = COMMA_GAPS if comma else SPACE_GAPS
+
+    def pick(options):
+        return options[gen.integers(len(options))]
+
+    lines = []
+    for row in values.tolist():
+        while gen.random() < 0.2:
+            lines.append(pick(SKIPPED_LINES))
+        line = pick(CELL_FORMS).format(row[0])
+        for v in row[1:]:
+            line += pick(gaps) + pick(CELL_FORMS).format(v)
+        lines.append(pick(INDENTS) + line + pick(INDENTS))
+    newline = "\r\n" if crlf else "\n"
+    text = newline.join(lines) + pick((newline, ""))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "data.txt")
+        path.write_bytes(text.encode())
+        got, want = load_dataset(path), reference_load_dataset(path)
+    assert got[0].shape == want[0].shape == (rows, width - 1)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert got[0].base is got[1].base

@@ -50,8 +50,9 @@ def test_schedule_validation():
         EpsilonSchedule.geometric(1.0, 1.0)
     with pytest.raises(ValueError):
         EpsilonSchedule.geometric(0.0, 0.5)
-    with pytest.raises(ValueError):
-        EpsilonSchedule.power_law(1.0, 1.0)
+    for exponent in (1.0, float("nan")):
+        with pytest.raises(ValueError):
+            EpsilonSchedule.power_law(1.0, exponent)
     for eps0 in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             EpsilonSchedule.geometric(eps0, 0.5)
