@@ -3,8 +3,9 @@
 Two schemes are supported: independent draws with replacement, and uniform
 subsets without replacement. Batches are kept in canonical sorted form so
 multiset/subset equality is structural. For small populations the full batch
-space can be enumerated together with each batch's exact probability, which
-is what the exact-expectation oracles in :mod:`varbatch.variance` consume.
+space can be enumerated together with each batch's exact probability. The
+exact-expectation oracles in :mod:`varbatch.variance` read that space from
+the source behind :func:`enumerate_batches`, as flat index arrays.
 """
 from __future__ import annotations
 
@@ -242,16 +243,27 @@ def enumerate_batches(
     Raises :class:`EnumerationCapError` up front when the batch space holds
     more than ``cap`` batches (pass ``cap=None`` to disable the guard).
     """
+    _, source = _batch_space(n_components, batch_size, scheme, cap)
+    return map(_canonical, source, repeat(scheme))
+
+
+def _batch_space(
+    n_components: int, batch_size: int, scheme: Scheme, cap: int | None
+) -> tuple[int, Iterator[tuple[int, ...]]]:
+    """The batch count and an iterator over the canonical index tuples.
+
+    The one source of the batch space: :func:`enumerate_batches` wraps its
+    tuples as batches, and the enumeration oracles read them straight into
+    index arrays. The cap is checked here, before any tuple is made.
+    """
     total = count_batches(n_components, batch_size, scheme)
     if cap is not None and total > cap:
         raise EnumerationCapError(
             f"batch space holds {total} batches, above the enumeration cap {cap}"
         )
     if scheme is Scheme.WITHOUT_REPLACEMENT:
-        source = combinations(range(n_components), batch_size)
-    else:
-        source = combinations_with_replacement(range(n_components), batch_size)
-    return map(_canonical, source, repeat(scheme))
+        return total, combinations(range(n_components), batch_size)
+    return total, combinations_with_replacement(range(n_components), batch_size)
 
 
 def batch_probability(batch: Batch, n_components: int) -> float:
@@ -264,15 +276,20 @@ def batch_probability(batch: Batch, n_components: int) -> float:
     Weighting canonical batches this way reproduces the independent-draw
     measure exactly without materializing all n**k ordered draws.
     """
-    if batch.indices[-1] >= n_components:
+    return _index_probability(batch.indices, batch.scheme, n_components)
+
+
+def _index_probability(indices, scheme: Scheme, n_components: int) -> float:
+    """:func:`batch_probability` of the canonical index sequence ``indices``."""
+    if indices[-1] >= n_components:
         raise ValueError(
-            f"batch index {batch.indices[-1]} out of range for {n_components} components"
+            f"batch index {indices[-1]} out of range for {n_components} components"
         )
-    k = batch.size
-    if batch.scheme is Scheme.WITHOUT_REPLACEMENT:
+    k = len(indices)
+    if scheme is Scheme.WITHOUT_REPLACEMENT:
         return 1.0 / math.comb(n_components, k)
     orderings = math.factorial(k)
     # Sorted indices sit in runs, one per distinct value, as long as its multiplicity.
-    for _, run in groupby(batch.indices):
+    for _, run in groupby(indices):
         orderings //= math.factorial(sum(1 for _ in run))
     return orderings / n_components**k

@@ -7,34 +7,28 @@ estimators here average over the entire batch space and act as independent
 oracles for those formulas at small scale; a Monte Carlo estimator covers
 populations past the enumeration cap.
 
-The oracles read :func:`~varbatch.sampling.enumerate_batches` in chunks of
-consecutive batches, each an ``(m, N_S)`` index array holding at most
-``_CHUNK_INDICES`` indices, so memory stays bounded whatever the size of the
-batch space. Each batch is weighted by its exact
-:func:`~varbatch.sampling.batch_probability`, and the weighted terms are
-added one at a time in enumeration order, so a result is bit-identical to a
-per-batch Python loop over the same batches.
+The oracles read the batch space from the same itertools source as
+:func:`~varbatch.sampling.enumerate_batches`, but as flat index chunks
+rather than ``Batch`` objects: consecutive batches are read straight into an
+``(m, N_S)`` index array holding at most ``_CHUNK_INDICES`` indices, so
+memory stays bounded whatever the size of the batch space. Each batch is
+weighted by its exact :func:`~varbatch.sampling.batch_probability`, and the
+weighted terms are added one at a time in enumeration order, so a result is
+bit-identical to a per-batch Python loop over the same batches.
 """
 from __future__ import annotations
 
-from itertools import islice
-from operator import attrgetter
+from itertools import chain
 
 import numpy as np
 
-from .finite_sum import (
-    FiniteSumProblem,
-    batch_gradient,
-    full_gradient,
-    gradient_matrix,
-)
+from .finite_sum import FiniteSumProblem, _as_point, full_gradient, gradient_matrix
 from .sampling import (
     DEFAULT_ENUMERATION_CAP,
-    Batch,
     Scheme,
     SeededRng,
-    batch_probability,
-    enumerate_batches,
+    _batch_space,
+    _index_probability,
     sample_with_replacement,
     sample_without_replacement,
 )
@@ -86,28 +80,33 @@ def analytic_variance(
 def _weighted_chunks(n_components: int, batch_size: int, scheme: Scheme, cap):
     """The batch space as ``(idx, weights)`` chunks, in enumeration order.
 
-    ``idx`` stacks consecutive batches from :func:`enumerate_batches` as an
-    ``(m, batch_size)`` index array, and ``weights[i]`` is the exact
-    :func:`batch_probability` of row i. A batch's probability depends only on
-    where its runs of equal indices start (every row starts a run at each
-    index without replacement), so it is computed once per run pattern.
+    ``idx`` is an ``(m, batch_size)`` index array read straight from the
+    itertools source behind :func:`~varbatch.sampling.enumerate_batches`,
+    with no ``Batch`` built per row; the last chunk is sized from the batch
+    count. ``weights[i]`` is the exact
+    :func:`~varbatch.sampling.batch_probability` of row i. A batch's
+    probability depends only on where its runs of equal indices start (every
+    row starts a run at each index without replacement), so it is computed
+    once per run pattern. The cap is checked at the call, before any chunk
+    is read.
     """
-    batches = enumerate_batches(n_components, batch_size, scheme, cap=cap)
+    total, source = _batch_space(n_components, batch_size, scheme, cap)
+    indices = chain.from_iterable(source)
     rows = max(1, _CHUNK_INDICES // batch_size)
-    row_type = np.dtype((np.intp, batch_size))
     by_pattern: dict[bytes, float] = {}
-    while True:
-        chunk = islice(batches, rows)
-        idx = np.fromiter(map(attrgetter("indices"), chunk), dtype=row_type)
-        if not len(idx):
-            return
+
+    def chunk(m: int):
+        idx = np.fromiter(indices, np.intp, count=m * batch_size).reshape(m, batch_size)
         starts = np.packbits(np.diff(idx, axis=1, prepend=-1) != 0, axis=1)
         patterns = starts.view(np.dtype((np.void, starts.shape[1]))).ravel().tolist()
         for i, pattern in enumerate(patterns):
             if pattern not in by_pattern:
-                batch = Batch(tuple(idx[i].tolist()), scheme)
-                by_pattern[pattern] = batch_probability(batch, n_components)
-        yield idx, np.array([by_pattern[pattern] for pattern in patterns])
+                by_pattern[pattern] = _index_probability(
+                    idx[i].tolist(), scheme, n_components
+                )
+        return idx, np.array([by_pattern[pattern] for pattern in patterns])
+
+    return map(chunk, (min(rows, total - start) for start in range(0, total, rows)))
 
 
 def _add_in_order(total: float, terms: np.ndarray) -> float:
@@ -127,12 +126,13 @@ def exact_batch_variance(
     Every batch in the scheme's space contributes its exact probability
     weight, so the result is the estimator variance under the true sampling
     measure, not an approximation. Only feasible while the batch space is
-    within ``cap``.
+    within ``cap``; a larger space raises before anything is evaluated.
     """
+    chunks = _weighted_chunks(problem.n_components, batch_size, scheme, cap)
     grads = gradient_matrix(problem, x)
     center = grads.mean(axis=0)
     total = 0.0
-    for idx, weights in _weighted_chunks(problem.n_components, batch_size, scheme, cap):
+    for idx, weights in chunks:
         dev = grads[idx].mean(axis=1) - center
         total = _add_in_order(total, weights * np.vecdot(dev, dev))
     return total
@@ -146,18 +146,30 @@ def empirical_batch_variance(
     draws: int,
     rng: SeededRng,
 ) -> float:
-    """Monte Carlo mean of ||grad_S F(x) - grad F(x)||^2 over sampled batches."""
+    """Monte Carlo mean of ||grad_S F(x) - grad F(x)||^2 over sampled batches.
+
+    Batches are drawn one at a time, so the draws and the generator stream
+    are those of repeated sampler calls, but evaluated in chunks: one
+    gradient call per chunk of at most ``_CHUNK_INDICES`` drawn indices,
+    with the batch means taken as row means of the ``(m, N_S, d)`` block.
+    """
     if draws < 2:
         raise ValueError("need at least two draws")
+    if scheme is Scheme.WITH_REPLACEMENT:
+        sample = sample_with_replacement
+    else:
+        sample = sample_without_replacement
+    x = _as_point(problem, x)
     center = full_gradient(problem, x)
+    rows = max(1, _CHUNK_INDICES // batch_size)
     total = 0.0
-    for _ in range(draws):
-        if scheme is Scheme.WITH_REPLACEMENT:
-            batch = sample_with_replacement(rng, problem.n_components, batch_size)
-        else:
-            batch = sample_without_replacement(rng, problem.n_components, batch_size)
-        dev = batch_gradient(problem, x, batch) - center
-        total += float(dev @ dev)
+    for start in range(0, draws, rows):
+        m = min(rows, draws - start)
+        drawn = (sample(rng, problem.n_components, batch_size).indices for _ in range(m))
+        idx = np.fromiter(chain.from_iterable(drawn), np.intp, count=m * batch_size)
+        means = problem.gradients(idx, x).reshape(m, batch_size, problem.dim).mean(axis=1)
+        dev = means - center
+        total = _add_in_order(total, np.vecdot(dev, dev))
     return total / draws
 
 
@@ -179,13 +191,14 @@ def average_batch_covariance(
     """
     if batch_size < 2:
         raise ValueError("covariance needs batches of at least two indices")
+    chunks = _weighted_chunks(
+        problem.n_components, batch_size, Scheme.WITHOUT_REPLACEMENT, cap
+    )
     centered = gradient_matrix(problem, x)
     centered -= centered.mean(axis=0)
     pair_count = batch_size * (batch_size - 1)
     total = 0.0
-    for idx, weights in _weighted_chunks(
-        problem.n_components, batch_size, Scheme.WITHOUT_REPLACEMENT, cap
-    ):
+    for idx, weights in chunks:
         rows = centered[idx]
         row_sum = rows.sum(axis=1)
         pair_sum = np.vecdot(row_sum, row_sum) - (rows * rows).sum(axis=(1, 2))

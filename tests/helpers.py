@@ -8,9 +8,13 @@ from varbatch import (
     Batch,
     DatasetFormatError,
     Scheme,
+    batch_gradient,
     batch_probability,
     enumerate_batches,
+    full_gradient,
     gradient_matrix,
+    sample_with_replacement,
+    sample_without_replacement,
 )
 
 
@@ -125,6 +129,24 @@ def loop_average_batch_covariance(problem, x, batch_size, cap=None):
         pair_sum = float(row_sum @ row_sum - (rows * rows).sum())
         total += weight * (pair_sum / pair_count)
     return total
+
+
+def loop_empirical_batch_variance(problem, x, batch_size, scheme, draws, rng):
+    """``empirical_batch_variance`` as a per-draw loop, as first shipped.
+
+    One sampler call, one ``batch_gradient`` and one squared norm per draw,
+    added to a running Python float in draw order.
+    """
+    if scheme is Scheme.WITH_REPLACEMENT:
+        sample = sample_with_replacement
+    else:
+        sample = sample_without_replacement
+    center = full_gradient(problem, x)
+    total = 0.0
+    for _ in range(draws):
+        dev = batch_gradient(problem, x, sample(rng, problem.n_components, batch_size)) - center
+        total += float(dev @ dev)
+    return total / draws
 
 
 def reference_load_dataset(path):

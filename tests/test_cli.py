@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import os
 import re
 import subprocess
@@ -83,6 +84,14 @@ def test_verify_reports_cap_skips_without_failing(tmp_path, capsys):
     rows = read_csv(tmp_path / "verify.csv")
     skipped = [r for r in rows if r["oracle"] == ""]
     assert skipped and all(r["abs_err"] == "" for r in skipped)
+
+
+def test_verify_csv_is_byte_stable(tmp_path):
+    # The default sweep's output, pinned: any change to the check problems,
+    # the oracles' order of summation or the CSV format changes the digest.
+    assert main(["verify", "--n-max", "10", "--seed", "0", "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256(read_bytes(tmp_path / "verify.csv")).hexdigest()
+    assert digest == "7838a754f63cc6856f765fd373afb43b29f78b27e6eca3f3b15183bf439535fa"
 
 
 def test_verify_failure_exit_code(tmp_path, monkeypatch):

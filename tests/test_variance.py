@@ -1,11 +1,20 @@
 import math
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
 
+import varbatch.sampling as sampling
 import varbatch.variance as variance
-from helpers import loop_average_batch_covariance, loop_exact_batch_variance
+from helpers import (
+    loop_average_batch_covariance,
+    loop_empirical_batch_variance,
+    loop_exact_batch_variance,
+)
 from varbatch import (
+    Batch,
+    EnumerationCapError,
+    FiniteSumProblem,
     Scheme,
     SeededRng,
     analytic_variance,
@@ -135,6 +144,44 @@ def test_empirical_variance_zero_spread_population():
     assert value == 0.0
 
 
+def test_batched_monte_carlo_equals_per_draw_loop(monkeypatch):
+    # At 64 indices per chunk the draws span several gradient calls, and the
+    # last chunk is short; the draws and the sum must not notice. One call
+    # over many rows can round a row's matrix product differently in the
+    # last bit than one call per batch (BLAS blocks by row count), so the
+    # sums agree to a few float64 roundings, not bit for bit.
+    for n, sizes in ((5, (1, 2, 5)), (12, (1, 2, 9, 12))):
+        for problem, x in oracle_problems(n):
+            for size in sizes:
+                for scheme in (WITHOUT, WITH):
+                    expected = loop_empirical_batch_variance(
+                        problem, x, size, scheme, 150, SeededRng(size)
+                    )
+                    for chunk_indices in (variance._CHUNK_INDICES, 64):
+                        monkeypatch.setattr(variance, "_CHUNK_INDICES", chunk_indices)
+                        observed = empirical_batch_variance(
+                            problem, x, size, scheme, 150, SeededRng(size)
+                        )
+                        assert observed == pytest.approx(expected, rel=1e-13, abs=1e-15)
+
+
+def test_batched_monte_carlo_evaluates_each_drawn_index_once(monkeypatch):
+    evaluated = []
+
+    def gradient(i, x):
+        evaluated.append(i)
+        return np.array([float(i)]) - x
+
+    problem = FiniteSumProblem(1, 7, lambda i, x: 0.0, gradient)
+    monkeypatch.setattr(variance, "_CHUNK_INDICES", 10)
+    empirical_batch_variance(problem, np.array([0.5]), 3, WITH, 11, SeededRng(4))
+    # Seven full-gradient evaluations, then the 11 draws of 3 indices each.
+    assert len(evaluated) == 7 + 11 * 3
+    rng = SeededRng(4)
+    drawn = [sampling.sample_with_replacement(rng, 7, 3).indices for _ in range(11)]
+    assert evaluated[7:] == [i for batch in drawn for i in batch]
+
+
 def test_empirical_variance_deterministic(ls5):
     first = empirical_batch_variance(ls5, X0, 2, WITH, 1000, SeededRng(42))
     second = empirical_batch_variance(ls5, X0, 2, WITH, 1000, SeededRng(42))
@@ -219,6 +266,67 @@ def test_chunk_weights_equal_batch_probability(monkeypatch, scheme):
             weights = [w for _, chunk in chunks for w in chunk.tolist()]
             assert rows == [b.indices for b in batches]
             assert weights == [batch_probability(b, n) for b in batches]
+
+
+@pytest.mark.parametrize("scheme", [WITHOUT, WITH])
+@pytest.mark.parametrize("chunk_indices", [variance._CHUNK_INDICES, 1, 13])
+def test_shared_source_is_the_itertools_space(monkeypatch, scheme, chunk_indices):
+    # One index per chunk gives one row per chunk; 13 indices is prime, so
+    # for every batch size but 1 the chunks end partway through the space.
+    monkeypatch.setattr(variance, "_CHUNK_INDICES", chunk_indices)
+    space = combinations if scheme is WITHOUT else combinations_with_replacement
+    for n in range(1, 8):
+        for size in range(1, (n if scheme is WITHOUT else 7) + 1):
+            expected = list(space(range(n), size))
+            assert [b.indices for b in enumerate_batches(n, size, scheme)] == expected
+            chunks = [idx for idx, _ in variance._weighted_chunks(n, size, scheme, None)]
+            rows = max(1, chunk_indices // size)
+            assert [len(idx) for idx in chunks[:-1]] == [rows] * (len(chunks) - 1)
+            assert 1 <= len(chunks[-1]) <= rows
+            assert [tuple(row) for idx in chunks for row in idx.tolist()] == expected
+
+
+def test_oracles_build_no_batches(monkeypatch, random_ls):
+    problem = random_ls(6, d=2, seed=8)
+    x = np.array([0.1, 0.6])
+    sizes = range(1, 7)
+    expected = [
+        [loop_exact_batch_variance(problem, x, size, scheme) for size in sizes]
+        for scheme in (WITHOUT, WITH)
+    ] + [[loop_average_batch_covariance(problem, x, size) for size in sizes[1:]]]
+
+    def build_batch(*args, **kwargs):
+        raise AssertionError("an enumeration oracle built a Batch")
+
+    monkeypatch.setattr(sampling, "_canonical", build_batch)
+    monkeypatch.setattr(Batch, "__post_init__", build_batch)
+    observed = [
+        [exact_batch_variance(problem, x, size, scheme) for size in sizes]
+        for scheme in (WITHOUT, WITH)
+    ] + [[average_batch_covariance(problem, x, size) for size in sizes[1:]]]
+    assert observed == expected
+    with pytest.raises(AssertionError):
+        list(enumerate_batches(6, 2, WITH))
+    with pytest.raises(AssertionError):
+        Batch((0, 1), WITH)
+
+
+def test_oracles_refuse_space_above_cap_before_evaluating():
+    evaluated = []
+
+    def gradient(i, x):
+        evaluated.append(i)
+        return np.array([float(i)])
+
+    problem = FiniteSumProblem(1, 10, lambda i, x: 0.0, gradient)
+    x = np.array([0.0])
+    # C(10, 5) = 252 subsets and C(14, 5) = 2002 multisets, both above 100.
+    for scheme in (WITHOUT, WITH):
+        with pytest.raises(EnumerationCapError):
+            exact_batch_variance(problem, x, 5, scheme, cap=100)
+    with pytest.raises(EnumerationCapError):
+        average_batch_covariance(problem, x, 5, cap=100)
+    assert evaluated == []
 
 
 @pytest.mark.parametrize(("n", "size"), [(2, 64), (3, 40)])
