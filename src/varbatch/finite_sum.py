@@ -69,8 +69,14 @@ class FiniteSumProblem:
             if isinstance(evaluate, _RowFormula):
                 rows = evaluate.rows(indices, x)
             else:
-                # Per-component callables: the one loop over components.
-                selected = np.arange(self.n_components)[indices].tolist()
+                # Per-component callables: the one loop over components. The
+                # range selects like an index array, wrapping negative indices
+                # and raising IndexError past the end, at O(k) cost.
+                population = range(self.n_components)
+                if isinstance(indices, slice):
+                    selected = population[indices]
+                else:
+                    selected = [population[i] for i in np.asarray(indices).tolist()]
                 rows = np.array([evaluate(i, x) for i in selected], dtype=float)
             return rows.reshape(len(rows), *row_shape)  # raises on a wrong size
         except Exception as exc:
@@ -113,25 +119,49 @@ def _as_point(problem: FiniteSumProblem, x) -> np.ndarray:
     return arr
 
 
+def _batch_sum(block: np.ndarray) -> np.ndarray:
+    """Sum of a C-contiguous block over its batch axis, the second to last.
+
+    The rows are added one at a time in index order, which is what numpy's
+    ``block.sum(axis=-2)`` does when rows hold two or more entries, so the
+    two agree bit for bit; ``einsum`` does it with less overhead per row.
+    With one entry per row numpy sums the column pairwise instead, and that
+    case keeps numpy's own sum.
+    """
+    if block.shape[-1] == 1:
+        return block.sum(axis=-2)
+    return np.einsum("...ij->...j", block)
+
+
+def _batch_mean(block: np.ndarray) -> np.ndarray:
+    """Mean over the batch axis: ``block.mean(axis=-2)``, bit for bit, from :func:`_batch_sum`."""
+    return _batch_sum(block) / block.shape[-2]
+
+
 def full_gradient(problem: FiniteSumProblem, x) -> np.ndarray:
     """Average of all component gradients.
 
     Shares its reduction with :func:`batch_gradient`, so a whole-population
     batch reproduces it bit for bit.
     """
-    return problem.gradients(_ALL, _as_point(problem, x)).mean(axis=0)
+    return _batch_mean(problem.gradients(_ALL, _as_point(problem, x)))
 
 
 def batch_gradient(problem: FiniteSumProblem, x, batch: Batch) -> np.ndarray:
-    """Average gradient over a batch; repeated indices count with multiplicity."""
+    """Average gradient over a batch; repeated indices count with multiplicity.
+
+    Reads the batch's index array, so a sampled batch, which holds one, is
+    evaluated without converting its indices. The rows are averaged in
+    index order, as in :func:`full_gradient`.
+    """
     x = _as_point(problem, x)
-    if batch.indices[-1] >= problem.n_components:
+    indices = batch.array
+    if indices[-1] >= problem.n_components:
         raise ValueError(
-            f"batch index {batch.indices[-1]} out of range for "
+            f"batch index {indices[-1]} out of range for "
             f"{problem.n_components} components"
         )
-    indices = np.fromiter(batch.indices, np.intp, batch.size)
-    return problem.gradients(indices, x).mean(axis=0)
+    return _batch_mean(problem.gradients(indices, x))
 
 
 def gradient_stats(problem: FiniteSumProblem, x) -> GradientStats:
@@ -142,7 +172,7 @@ def gradient_stats(problem: FiniteSumProblem, x) -> GradientStats:
     array is held.
     """
     grads = problem.gradients(_ALL, _as_point(problem, x))
-    mean = grads.mean(axis=0)
+    mean = _batch_mean(grads)
     grads -= mean
     return GradientStats(mean, float(np.vdot(grads, grads)) / problem.n_components)
 

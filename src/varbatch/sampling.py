@@ -2,16 +2,20 @@
 
 Two schemes are supported: independent draws with replacement, and uniform
 subsets without replacement. Batches are kept in canonical sorted form so
-multiset/subset equality is structural. For small populations the full batch
-space can be enumerated together with each batch's exact probability. The
-exact-expectation oracles in :mod:`varbatch.variance` read that space from
-the source behind :func:`enumerate_batches`, as flat index arrays.
+multiset/subset equality is structural. A sampled batch holds the sorted
+index array its sampler computed, which gradient evaluation reads as it is;
+its tuple of Python ints is built only when read. For small populations the
+full batch space can be enumerated together with each batch's exact
+probability; enumerated batches hold their tuples. The exact-expectation
+oracles in :mod:`varbatch.variance` read that space from the source behind
+:func:`enumerate_batches`, as flat index arrays.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from enum import Enum
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement, groupby, repeat
 from typing import Iterable, Iterator
 
@@ -78,7 +82,6 @@ class SeededRng:
         return self._gen.normal(loc=loc, scale=scale, size=size)
 
 
-@dataclass(frozen=True)
 class Batch:
     """Canonical (sorted) collection of component indices.
 
@@ -86,28 +89,81 @@ class Batch:
     replacement they form a nondecreasing multiset where repeats are
     meaningful. Upper-bound validation against the population size happens
     where the population is known (gradient evaluation, probabilities).
+
+    A batch is immutable and has two views of its indices: ``indices``, a
+    tuple of Python ints, and ``array``, the same indices as a sorted,
+    read-only ``np.intp`` array. A missing view is built on first read and
+    kept: sampled batches hold the array, which gradient evaluation reads,
+    enumerated ones the tuple, and checked ones both, since the checks run
+    over the array. Equality, hashing and repr use ``indices`` and
+    ``scheme``.
     """
 
-    indices: tuple[int, ...]
-    scheme: Scheme
+    def __init__(self, indices: tuple[int, ...], scheme: Scheme):
+        fields = self.__dict__
+        fields["indices"] = indices
+        fields["scheme"] = scheme
+        self.__post_init__()
 
     def __post_init__(self):
+        """Check the canonical form, over the array, and keep the array."""
         if not self.indices:
             raise ValueError("batch must contain at least one index")
-        if self.indices[0] < 0:
+        array = np.asarray(self.indices)
+        if array.ndim != 1 or not np.can_cast(array.dtype, np.intp):
+            raise ValueError(
+                f"component indices must be integers in the index range, got {self.indices!r}"
+            )
+        array = array.astype(np.intp)
+        if array[0] < 0:
             raise ValueError(f"negative component index {self.indices[0]}")
-        pairs = zip(self.indices, self.indices[1:])
+        steps = np.diff(array)
         if self.scheme is Scheme.WITHOUT_REPLACEMENT:
-            if not all(a < b for a, b in pairs):
+            if not (steps > 0).all():
                 raise ValueError(
                     "without-replacement batch requires strictly increasing indices"
                 )
-        elif not all(a <= b for a, b in pairs):
+        elif not (steps >= 0).all():
             raise ValueError("with-replacement batch requires nondecreasing indices")
+        array.setflags(write=False)
+        self.__dict__["array"] = array
+
+    # Cached properties, not __getattr__, which would slow every attribute
+    # read of the millions of batches that enumeration builds.
+    @cached_property
+    def indices(self) -> tuple[int, ...]:
+        """The indices as a tuple of Python ints."""
+        return tuple(self.array.tolist())
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The indices as a sorted, read-only ``np.intp`` array."""
+        array = np.array(self.indices, np.intp)
+        array.setflags(write=False)
+        return array
 
     @property
     def size(self) -> int:
-        return len(self.indices)
+        """Number of indices, repeats included."""
+        fields = self.__dict__
+        return len(fields["array"] if "array" in fields else fields["indices"])
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.indices, self.scheme) == (other.indices, other.scheme)
+
+    def __hash__(self):
+        return hash((self.indices, self.scheme))
+
+    def __repr__(self):
+        return f"Batch(indices={self.indices!r}, scheme={self.scheme!r})"
 
 
 def _canonical(indices: tuple[int, ...], scheme: Scheme) -> Batch:
@@ -115,12 +171,27 @@ def _canonical(indices: tuple[int, ...], scheme: Scheme) -> Batch:
 
     The caller guarantees what ``Batch.__post_init__`` would check: a
     nonempty tuple of nonnegative Python ints in the order ``scheme``
-    requires. The enumerator and the samplers produce such tuples; anything
-    else goes through ``Batch(...)`` or :func:`make_batch`.
+    requires. The enumerator produces such tuples; the batch builds its
+    array on first read. Samplers use :func:`_sampled`, and anything else
+    goes through ``Batch(...)`` or :func:`make_batch`.
     """
     batch = object.__new__(Batch)
     fields = batch.__dict__
     fields["indices"] = indices
+    fields["scheme"] = scheme
+    return batch
+
+
+def _sampled(array: np.ndarray, scheme: Scheme) -> Batch:
+    """A batch holding a sampler's index array, built unchecked.
+
+    As :func:`_canonical`, for a sorted ``np.intp`` array, which it makes
+    read-only; the batch builds its tuple on first read.
+    """
+    array.setflags(write=False)
+    batch = object.__new__(Batch)
+    fields = batch.__dict__
+    fields["array"] = array
     fields["scheme"] = scheme
     return batch
 
@@ -137,7 +208,8 @@ def sample_with_replacement(rng: SeededRng, n_components: int, batch_size: int) 
     if batch_size < 1:
         raise ValueError("batch size must be at least 1")
     draws = rng.integers(0, n_components, size=batch_size)
-    return _canonical(tuple(np.sort(draws).tolist()), Scheme.WITH_REPLACEMENT)
+    draws.sort()
+    return _sampled(draws, Scheme.WITH_REPLACEMENT)
 
 
 def sample_without_replacement(rng: SeededRng, n_components: int, batch_size: int) -> Batch:
@@ -165,16 +237,14 @@ def sample_without_replacement(rng: SeededRng, n_components: int, batch_size: in
         )
     offsets = rng.integers(np.arange(batch_size), n_components)
     if batch_size >= _LOOP_FREE_MIN_SIZE:
-        return _canonical(
-            tuple(_fisher_yates_batch(offsets).tolist()), Scheme.WITHOUT_REPLACEMENT
-        )
+        return _sampled(_fisher_yates_batch(offsets), Scheme.WITHOUT_REPLACEMENT)
     moved: dict[int, int] = {}
     chosen = []
     for j, r in enumerate(offsets.tolist()):
         chosen.append(moved.get(r, r))
         # Slot j is never read again, so only slot r needs the swapped value.
         moved[r] = moved.get(j, j)
-    return _canonical(tuple(np.sort(chosen).tolist()), Scheme.WITHOUT_REPLACEMENT)
+    return _sampled(np.array(sorted(chosen), np.intp), Scheme.WITHOUT_REPLACEMENT)
 
 
 def _fisher_yates_batch(offsets: np.ndarray) -> np.ndarray:

@@ -15,6 +15,11 @@ memory stays bounded whatever the size of the batch space. Each batch is
 weighted by its exact :func:`~varbatch.sampling.batch_probability`, and the
 weighted terms are added one at a time in enumeration order, so a result is
 bit-identical to a per-batch Python loop over the same batches.
+
+Every batch mean, and the full-gradient mean each estimate is centred on,
+adds its rows in index order, with the reduction that
+:func:`~varbatch.finite_sum.full_gradient` and
+:func:`~varbatch.finite_sum.batch_gradient` use.
 """
 from __future__ import annotations
 
@@ -22,7 +27,14 @@ from itertools import chain
 
 import numpy as np
 
-from .finite_sum import FiniteSumProblem, _as_point, full_gradient, gradient_matrix
+from .finite_sum import (
+    FiniteSumProblem,
+    _as_point,
+    _batch_mean,
+    _batch_sum,
+    full_gradient,
+    gradient_matrix,
+)
 from .sampling import (
     DEFAULT_ENUMERATION_CAP,
     Scheme,
@@ -130,10 +142,10 @@ def exact_batch_variance(
     """
     chunks = _weighted_chunks(problem.n_components, batch_size, scheme, cap)
     grads = gradient_matrix(problem, x)
-    center = grads.mean(axis=0)
+    center = _batch_mean(grads)
     total = 0.0
     for idx, weights in chunks:
-        dev = grads[idx].mean(axis=1) - center
+        dev = _batch_mean(grads[idx]) - center
         total = _add_in_order(total, weights * np.vecdot(dev, dev))
     return total
 
@@ -149,9 +161,10 @@ def empirical_batch_variance(
     """Monte Carlo mean of ||grad_S F(x) - grad F(x)||^2 over sampled batches.
 
     Batches are drawn one at a time, so the draws and the generator stream
-    are those of repeated sampler calls, but evaluated in chunks: one
-    gradient call per chunk of at most ``_CHUNK_INDICES`` drawn indices,
-    with the batch means taken as row means of the ``(m, N_S, d)`` block.
+    are those of repeated sampler calls, but evaluated in chunks: the drawn
+    batches' index arrays are joined, one gradient call per chunk of at most
+    ``_CHUNK_INDICES`` indices, and the batch means are taken over the
+    ``(m, N_S, d)`` block in index order.
     """
     if draws < 2:
         raise ValueError("need at least two draws")
@@ -165,10 +178,11 @@ def empirical_batch_variance(
     total = 0.0
     for start in range(0, draws, rows):
         m = min(rows, draws - start)
-        drawn = (sample(rng, problem.n_components, batch_size).indices for _ in range(m))
-        idx = np.fromiter(chain.from_iterable(drawn), np.intp, count=m * batch_size)
-        means = problem.gradients(idx, x).reshape(m, batch_size, problem.dim).mean(axis=1)
-        dev = means - center
+        idx = np.concatenate(
+            [sample(rng, problem.n_components, batch_size).array for _ in range(m)]
+        )
+        grads = problem.gradients(idx, x).reshape(m, batch_size, problem.dim)
+        dev = _batch_mean(grads) - center
         total = _add_in_order(total, np.vecdot(dev, dev))
     return total / draws
 
@@ -195,12 +209,12 @@ def average_batch_covariance(
         problem.n_components, batch_size, Scheme.WITHOUT_REPLACEMENT, cap
     )
     centered = gradient_matrix(problem, x)
-    centered -= centered.mean(axis=0)
+    centered -= _batch_mean(centered)
     pair_count = batch_size * (batch_size - 1)
     total = 0.0
     for idx, weights in chunks:
         rows = centered[idx]
-        row_sum = rows.sum(axis=1)
+        row_sum = _batch_sum(rows)
         pair_sum = np.vecdot(row_sum, row_sum) - (rows * rows).sum(axis=(1, 2))
         total = _add_in_order(total, weights * (pair_sum / pair_count))
     return total

@@ -149,6 +149,23 @@ def loop_empirical_batch_variance(problem, x, batch_size, scheme, draws, rng):
     return total / draws
 
 
+def tuple_batch_gradient(problem, x, batch):
+    """``batch_gradient`` as it read a batch's index tuple, before batches held arrays.
+
+    Reference for the array path, which must match it bit for bit: the
+    indices go back through ``np.fromiter`` and the rows through numpy's
+    ``mean(axis=0)``. The body is the original.
+    """
+    x = np.asarray(x, dtype=float)
+    if batch.indices[-1] >= problem.n_components:
+        raise ValueError(
+            f"batch index {batch.indices[-1]} out of range for "
+            f"{problem.n_components} components"
+        )
+    indices = np.fromiter(batch.indices, np.intp, batch.size)
+    return problem.gradients(indices, x).mean(axis=0)
+
+
 def reference_load_dataset(path):
     """``load_dataset`` as a per-cell ``float()`` loop, as the library first shipped it.
 

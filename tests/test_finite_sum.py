@@ -7,12 +7,14 @@ from helpers import (
     brute_force_component_variance,
     central_difference_gradient,
     reference_load_dataset,
+    tuple_batch_gradient,
 )
 from varbatch import (
     DatasetFormatError,
     EvaluationError,
     FiniteSumProblem,
     Scheme,
+    SeededRng,
     batch_gradient,
     component_gradient_variance,
     full_gradient,
@@ -23,8 +25,11 @@ from varbatch import (
     make_least_squares,
     make_logistic,
     objective_value,
+    sample_with_replacement,
+    sample_without_replacement,
 )
 from varbatch import finite_sum
+from varbatch.sampling import _LOOP_FREE_MIN_SIZE
 
 X0 = np.array([0.0])
 
@@ -122,6 +127,53 @@ def test_batch_gradient_matches_gradient_matrix_mean(random_ls):
         direct = batch_gradient(problem, x, batch)
         cached = grads[list(batch.indices)].mean(axis=0)
         assert np.max(np.abs(direct - cached)) < 1e-14
+
+
+@pytest.mark.parametrize("d", [1, 2, 10])
+@pytest.mark.parametrize("sample", [sample_with_replacement, sample_without_replacement])
+def test_sampled_batch_gradient_matches_tuple_path(random_ls, sample, d):
+    # The array path must give the bytes of the index tuple path it replaced,
+    # on both sides of the sampler's loop-free threshold.
+    problem = random_ls(1000, d=d, seed=d)
+    x = np.linspace(-1.0, 2.0, d)
+    rng = SeededRng(29)
+    for size in (1, 7, _LOOP_FREE_MIN_SIZE - 1, _LOOP_FREE_MIN_SIZE, 600):
+        batch = sample(rng, problem.n_components, size)
+        expected = tuple_batch_gradient(problem, x, batch)
+        assert batch_gradient(problem, x, batch).tobytes() == expected.tobytes()
+
+
+def _recording_problem(n):
+    """A problem of per-component callables that records the indices it evaluates."""
+    seen = []
+
+    def gradient(i, x):
+        seen.append(i)
+        return np.array([float(i)])
+
+    return FiniteSumProblem(1, n, lambda i, x: float(i), gradient), seen
+
+
+def test_callable_adapter_wraps_negative_indices():
+    problem, seen = _recording_problem(5)
+    grads = problem.gradients(np.array([-1, 0, -5, 2]), X0)
+    assert grads.ravel().tolist() == [4.0, 0.0, 0.0, 2.0]
+    assert seen == [4, 0, 0, 2]
+    assert problem.gradients(slice(None), X0).ravel().tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+
+
+def test_callable_adapter_out_of_range_names_index_error():
+    problem, seen = _recording_problem(5)
+    for indices in ([0, 5], [-6]):
+        with pytest.raises(EvaluationError, match="IndexError") as excinfo:
+            problem.gradients(np.array(indices), X0)
+        assert isinstance(excinfo.value.__cause__, IndexError)
+    # Selection is O(k): a population far too large to materialize still works.
+    huge, seen = _recording_problem(10**15)
+    assert huge.gradients(np.array([3, 10**15 - 1, -1]), X0).ravel().tolist() == [
+        3.0, 1e15 - 1, 1e15 - 1
+    ]
+    assert seen == [3, 10**15 - 1, 10**15 - 1]
 
 
 @pytest.mark.parametrize("x", [0.0, -2.5, 11.0])
@@ -244,6 +296,26 @@ def test_load_dataset_whitespace_and_comments(tmp_path):
     matrix, labels = load_dataset(path)
     assert matrix.shape == (2, 2)
     assert labels.tolist() == [1.0, -1.0]
+
+
+@pytest.mark.parametrize(
+    ("content", "matrix", "labels"),
+    [
+        ("1,\x1c2\n", [[1.0]], [2.0]),
+        ("1,2\x1f,3\n", [[1.0, 2.0]], [3.0]),
+        ("\x1d1 , 2\x1e\n", [[1.0]], [2.0]),
+        ("1\x1c2\x1d3\n4\x1e5\x1f6\n", [[1.0, 2.0], [4.0, 5.0]], [3.0, 6.0]),
+    ],
+)
+def test_load_dataset_separator_controls_are_whitespace(tmp_path, content, matrix, labels):
+    # The ASCII separator controls \x1c-\x1f are whitespace to str.split():
+    # they separate cells in a whitespace-separated file and pad a cell in a
+    # comma-separated one.
+    path = tmp_path / "data.txt"
+    path.write_text(content)
+    got_matrix, got_labels = load_dataset(path)
+    assert got_matrix.tolist() == matrix
+    assert got_labels.tolist() == labels
 
 
 def test_load_dataset_empty_file(tmp_path):

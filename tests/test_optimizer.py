@@ -213,6 +213,30 @@ def test_run_calls_samplers_and_stats_through_module_names(ls5, monkeypatch, sch
     assert {name: spy.call_count for name, spy in spies.items()} == expected
 
 
+@pytest.mark.parametrize("scheme", [WITHOUT, Scheme.WITH_REPLACEMENT])
+def test_run_evaluates_each_sampled_batch_through_module_name(random_ls, monkeypatch, scheme):
+    # The benchmark counts batch evaluations by patching optimizer.batch_gradient.
+    spy = Mock(wraps=optimizer.batch_gradient)
+    monkeypatch.setattr(optimizer, "batch_gradient", spy)
+    config = make_config(
+        300,
+        rule=BatchSizeRule(scheme, VarianceCap(2.0), 300),
+        epsilon_schedule=EpsilonSchedule.geometric(0.5, 0.5),
+        max_iters=16,
+        tolerance=0.0,
+    )
+    rows = run(random_ls(300, d=3, seed=4), config).rows
+    sampled = [row.batch_size for row in rows if row.batch_size < 300]
+    assert 0 < len(sampled) < len(rows) and max(sampled) >= 100
+    batches = [call.args[2] for call in spy.call_args_list]
+    assert [batch.size for batch in batches] == sampled
+    for batch in batches:
+        assert "indices" not in vars(batch)  # no index tuple was built
+        assert not batch.array.flags.writeable
+        with pytest.raises(ValueError):
+            batch.array[0] = 0
+
+
 def test_run_auto_cap_tracks_measured_variance(ls5):
     # At cap 1e-6 the rule alone would keep batches tiny; the auto cap lifts
     # it to the measured component variance (2.0), demanding larger batches.

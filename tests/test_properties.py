@@ -1,5 +1,5 @@
-"""Property checks of the size rules' defining inequalities, the samplers and
-the dataset parser.
+"""Property checks of the size rules' defining inequalities, the samplers, the
+batch-mean primitive and the dataset parser.
 
 Examples are derandomized and no example database is kept, so the suite
 stays deterministic.
@@ -8,7 +8,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import configuration, given, settings
+from hypothesis import configuration, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -28,6 +28,7 @@ from varbatch import (
     sample_with_replacement,
     sample_without_replacement,
 )
+from varbatch.finite_sum import _batch_mean, _batch_sum
 from varbatch.sampling import _fisher_yates_batch
 
 # Ceilings snap values within 1e-9 (relative) of an integer.
@@ -177,3 +178,35 @@ def test_load_dataset_matches_float_loop(seed, rows, width, comma, crlf):
     assert got[0].shape == want[0].shape == (rows, width - 1)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
     assert got[0].base is got[1].base
+
+
+@st.composite
+def _blocks(draw):
+    """Gradient-like float blocks, drawn as a shape, a scale and a seed.
+
+    Drawing every entry through hypothesis would take seconds per test.
+    Shapes are (k, d), as full_gradient and batch_gradient average them, and
+    (m, k, d), as the oracles average m batches at once. Each block has one
+    magnitude from 1e-150 to 1e150, and a drawn share of its rows (none,
+    some or all) is all 0.0 or all -0.0.
+    """
+    k, d = draw(st.integers(1, 40)), draw(st.integers(1, 12))
+    shape = draw(st.sampled_from([(k, d), (1, k, d), (3, k, d), (7, k, d)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    block = rng.standard_normal(shape) * 10.0 ** draw(st.integers(-150, 150))
+    zero_rows = rng.random(shape[:-1]) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    block[zero_rows] = draw(st.sampled_from([0.0, -0.0]))
+    return block
+
+
+@examples
+@given(block=_blocks())
+# One column with k >= 8, where numpy sums pairwise rather than row by row.
+@example(block=np.linspace(0.1, 3.7, 37)[:, None] ** 7)
+@example(block=np.linspace(-1e150, 1e-150, 2 * 9 * 1).reshape(2, 9, 1))
+@example(block=np.full((5, 3), -0.0))
+@example(block=np.full((4, 1, 2), -0.0))
+def test_batch_mean_matches_numpy_bit_for_bit(block):
+    axis = block.ndim - 2
+    assert _batch_sum(block).tobytes() == block.sum(axis=axis).tobytes()
+    assert _batch_mean(block).tobytes() == block.mean(axis=axis).tobytes()

@@ -38,6 +38,33 @@ def test_batch_canonical_form_enforced():
     assert Batch((1, 1, 3), WITH).size == 3
 
 
+def test_batch_rejects_indices_outside_the_index_type():
+    for indices in [(1.5, 2), (0, 2**63), (2**70,), ("a",)]:
+        with pytest.raises(ValueError, match="integers"):
+            Batch(indices, WITH)
+
+
+def test_batch_views_agree_and_are_built_once():
+    # Sampled batches hold the array, enumerated ones the tuple and checked
+    # ones both; a missing view is built on first read, read-only, and kept.
+    rng = SeededRng(3)
+    built = [
+        sample_with_replacement(rng, 50, 7),
+        sample_without_replacement(rng, 50, 7),
+        sample_without_replacement(rng, 500, _LOOP_FREE_MIN_SIZE),
+        next(enumerate_batches(5, 3, WITH)),
+        Batch((1, 4, 4), WITH),
+    ]
+    for batch in built:
+        assert batch.array.dtype == np.intp and not batch.array.flags.writeable
+        assert batch.array.tolist() == list(batch.indices)
+        assert batch.indices is batch.indices and batch.array is batch.array
+        assert batch.size == len(batch.indices)
+        assert batch == Batch(batch.indices, batch.scheme)
+        assert hash(batch) == hash(Batch(batch.indices, batch.scheme))
+        assert repr(batch) == f"Batch(indices={batch.indices!r}, scheme={batch.scheme!r})"
+
+
 def test_make_batch_sorts():
     assert make_batch([4, 0, 2], WITHOUT).indices == (0, 2, 4)
     assert make_batch([3, 1, 3], WITH).indices == (1, 3, 3)
