@@ -32,6 +32,7 @@ from .finite_sum import (
     _as_point,
     _batch_mean,
     _batch_sum,
+    _rows,
     full_gradient,
     gradient_matrix,
 )
@@ -145,7 +146,7 @@ def exact_batch_variance(
     center = _batch_mean(grads)
     total = 0.0
     for idx, weights in chunks:
-        dev = _batch_mean(grads[idx]) - center
+        dev = _batch_mean(_rows(grads, idx)) - center
         total = _add_in_order(total, weights * np.vecdot(dev, dev))
     return total
 
@@ -213,7 +214,7 @@ def average_batch_covariance(
     pair_count = batch_size * (batch_size - 1)
     total = 0.0
     for idx, weights in chunks:
-        rows = centered[idx]
+        rows = _rows(centered, idx)
         row_sum = _batch_sum(rows)
         pair_sum = np.vecdot(row_sum, row_sum) - (rows * rows).sum(axis=(1, 2))
         total = _add_in_order(total, weights * (pair_sum / pair_count))

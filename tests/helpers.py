@@ -7,6 +7,7 @@ import numpy as np
 from varbatch import (
     Batch,
     DatasetFormatError,
+    FiniteSumProblem,
     Scheme,
     batch_gradient,
     batch_probability,
@@ -16,6 +17,7 @@ from varbatch import (
     sample_with_replacement,
     sample_without_replacement,
 )
+from varbatch.finite_sum import _RowFormula
 
 
 def central_difference_gradient(func, x, h=1e-6):
@@ -164,6 +166,51 @@ def tuple_batch_gradient(problem, x, batch):
         )
     indices = np.fromiter(batch.indices, np.intp, batch.size)
     return problem.gradients(indices, x).mean(axis=0)
+
+
+def fancy_index_least_squares(matrix, targets):
+    """``make_least_squares`` gathering its rows by fancy indexing, as first shipped.
+
+    Reference for the ``take`` gather, which must give the same bytes: the
+    formulas are the original bodies, over a C-ordered copy of the data.
+    """
+    A = np.array(matrix, dtype=float, order="C")
+    b = np.array(targets, dtype=float)
+
+    def values(indices, x):
+        residual = A[indices] @ x - b[indices]
+        return 0.5 * residual * residual
+
+    def gradients(indices, x):
+        rows = A[indices]
+        return rows * (rows @ x - b[indices])[:, None]
+
+    return FiniteSumProblem(A.shape[1], A.shape[0], _RowFormula(values), _RowFormula(gradients))
+
+
+def fancy_index_logistic(matrix, labels):
+    """``make_logistic`` gathering its rows by fancy indexing, as first shipped.
+
+    Gathers ``A[indices]`` and ``y[indices]`` twice per gradient call, as
+    the original did.
+    """
+    A = np.array(matrix, dtype=float, order="C")
+    y = np.array(labels, dtype=float)
+
+    def margins(indices, x):
+        margin = y[indices] * (A[indices] @ x)
+        return margin, np.exp(-np.abs(margin))
+
+    def values(indices, x):
+        margin, e = margins(indices, x)
+        return np.where(margin > 0, 0.0, -margin) + np.log1p(e)
+
+    def gradients(indices, x):
+        margin, e = margins(indices, x)
+        slope = np.where(margin > 0, e, 1.0) / (1.0 + e)
+        return (-y[indices] * slope)[:, None] * A[indices]
+
+    return FiniteSumProblem(A.shape[1], A.shape[0], _RowFormula(values), _RowFormula(gradients))
 
 
 def reference_load_dataset(path):

@@ -6,6 +6,8 @@ import pytest
 from helpers import (
     brute_force_component_variance,
     central_difference_gradient,
+    fancy_index_least_squares,
+    fancy_index_logistic,
     reference_load_dataset,
     tuple_batch_gradient,
 )
@@ -174,6 +176,82 @@ def test_callable_adapter_out_of_range_names_index_error():
         3.0, 1e15 - 1, 1e15 - 1
     ]
     assert seen == [3, 10**15 - 1, 10**15 - 1]
+
+
+def _random_data(n, d, seed):
+    """A standard normal (n, d) matrix, least-squares targets and +-1 labels."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.normal(size=(n, d))
+    return matrix, rng.normal(size=n), np.where(rng.normal(size=n) >= 0, 1.0, -1.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 10])
+def test_take_gather_matches_fancy_index_formulas(d):
+    n = 300
+    matrix, targets, labels = _random_data(n, d, seed=d)
+    x = np.linspace(-1.5, 1.0, d)
+    rng = np.random.default_rng(d)
+    index_arrays = (
+        rng.permutation(n)[:120],  # unsorted
+        rng.integers(0, n, 500),  # repeated
+        np.array([-1, -n, 3, -2, 3]),  # negative
+        np.arange(n),  # whole population
+    )
+    for problem, reference in (
+        (make_least_squares(matrix, targets), fancy_index_least_squares(matrix, targets)),
+        (make_logistic(matrix, labels), fancy_index_logistic(matrix, labels)),
+    ):
+        for indices in index_arrays:
+            for name in ("gradients", "values"):
+                got = getattr(problem, name)(indices, x)
+                expected = getattr(reference, name)(indices, x)
+                assert got.tobytes() == expected.tobytes()
+
+
+def test_built_in_out_of_range_names_index_error(ls5):
+    logistic = make_logistic(np.ones((5, 1)), np.ones(5))
+    for problem in (ls5, logistic):
+        for indices in ([0, 5], [-6]):
+            for evaluate in (problem.gradients, problem.values):
+                with pytest.raises(EvaluationError, match="IndexError") as excinfo:
+                    evaluate(np.array(indices), X0)
+                assert isinstance(excinfo.value.__cause__, IndexError)
+
+
+def test_non_integer_index_arrays_refused_on_both_paths(ls5):
+    adapter, seen = _recording_problem(5)
+    mask = np.array([True, False, True, False, False])
+    for problem in (ls5, adapter):
+        for indices in (mask, mask.tolist(), np.array([0.0, 2.0])):
+            for evaluate in (problem.gradients, problem.values):
+                with pytest.raises(ValueError, match="must be integers"):
+                    evaluate(indices, X0)
+        # An empty list is an empty batch.
+        assert problem.gradients([], X0).shape == (0, 1)
+        assert problem.values([], X0).shape == (0,)
+    assert seen == []
+    # A built-in problem's one-component evaluator follows the same rule.
+    for i in (True, 1.5):
+        with pytest.raises(ValueError, match="must be integers"):
+            ls5.component_gradient(i, X0)
+
+
+@pytest.mark.parametrize("maker", [make_least_squares, make_logistic])
+def test_results_do_not_depend_on_matrix_memory_order(maker):
+    n, d = 1000, 3
+    matrix, targets, labels = _random_data(n, d, seed=11)
+    column = targets if maker is make_least_squares else labels
+    x = np.array([0.4, -0.3, 0.8])
+    c_ordered = maker(matrix, column)
+    transposed = maker(np.ascontiguousarray(matrix.T).T, column)  # Fortran order
+    whole = make_batch(range(n), Scheme.WITHOUT_REPLACEMENT)
+    for problem in (c_ordered, transposed):
+        assert full_gradient(problem, x).tobytes() == batch_gradient(problem, x, whole).tobytes()
+        assert full_gradient(problem, x).tobytes() == full_gradient(c_ordered, x).tobytes()
+        assert (
+            gradient_stats(problem, x).component_variance
+            == gradient_stats(c_ordered, x).component_variance
+        )
 
 
 @pytest.mark.parametrize("x", [0.0, -2.5, 11.0])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import varbatch.optimizer as optimizer
+from helpers import fancy_index_least_squares
 from varbatch import (
     BatchSizeRule,
     EpsilonSchedule,
@@ -235,6 +236,28 @@ def test_run_evaluates_each_sampled_batch_through_module_name(random_ls, monkeyp
         assert not batch.array.flags.writeable
         with pytest.raises(ValueError):
             batch.array[0] = 0
+
+
+@pytest.mark.parametrize("scheme", [WITHOUT, Scheme.WITH_REPLACEMENT])
+def test_unmonitored_run_matches_fancy_index_formulas(scheme):
+    # The large-population mode: every step is one sampled batch gradient.
+    n, d = 20_000, 10
+    rng = np.random.default_rng(8)
+    matrix, targets = rng.normal(size=(n, d)), rng.normal(size=n)
+    config = make_config(
+        n,
+        rule=BatchSizeRule(scheme, VarianceCap(1.0), n),
+        epsilon_schedule=EpsilonSchedule.power_law(0.1, 1.1),
+        learning_rate=LearningRateSchedule.decaying(0.5),
+        max_iters=60,
+        tolerance=0.0,
+        monitor_full_gradient=False,
+    )
+    record = run(make_least_squares(matrix, targets), config)
+    expected = run(fancy_index_least_squares(matrix, targets), config)
+    assert max(row.batch_size for row in record.rows) >= 100
+    assert record.rows == expected.rows
+    assert record.final_x.tobytes() == expected.final_x.tobytes()
 
 
 def test_run_auto_cap_tracks_measured_variance(ls5):
