@@ -6,9 +6,12 @@ multiset/subset equality is structural. A sampled batch holds the sorted
 index array its sampler computed, which gradient evaluation reads as it is;
 its tuple of Python ints is built only when read. For small populations the
 full batch space can be enumerated together with each batch's exact
-probability; enumerated batches hold their tuples. The exact-expectation
-oracles in :mod:`varbatch.variance` read that space from the source behind
-:func:`enumerate_batches`, as flat index arrays.
+probability; enumerated batches hold their ``itertools`` tuples. The
+exact-expectation oracles in :mod:`varbatch.variance` read the same space,
+in the same order, from the same source behind :func:`enumerate_batches`,
+but as index blocks built in numpy a column at a time, with no tuple per
+batch; a multiset is read as a subset of a larger range, with column j
+lowered by j.
 """
 from __future__ import annotations
 
@@ -289,17 +292,47 @@ def count_batches(n_components: int, batch_size: int, scheme: Scheme) -> int:
     With replacement this counts canonical multisets, C(n+k-1, k); without
     replacement it counts subsets, C(n, k).
     """
+    return math.comb(_subset_population(n_components, batch_size, scheme), batch_size)
+
+
+def _subset_population(n_components: int, batch_size: int, scheme: Scheme) -> int:
+    """The M whose ``batch_size``-subsets the batch space maps onto, checked.
+
+    Without replacement M = N. With replacement M = N + k - 1: the
+    order-preserving bijection ``a_j = b_j + j`` maps a canonical multiset
+    b of ``range(N)`` to a k-subset a of ``range(M)``, and back.
+    """
     if n_components < 1:
         raise ValueError("population must contain at least one component")
     if batch_size < 1:
         raise ValueError("batch size must be at least 1")
     if scheme is Scheme.WITH_REPLACEMENT:
-        return math.comb(n_components + batch_size - 1, batch_size)
+        return n_components + batch_size - 1
     if batch_size > n_components:
         raise ValueError(
             f"cannot draw {batch_size} distinct indices from {n_components} components"
         )
-    return math.comb(n_components, batch_size)
+    return n_components
+
+
+def _check_cap(population: int, batch_size: int, cap: int) -> None:
+    """Raise :class:`EnumerationCapError` when C(population, batch_size) > cap.
+
+    Multiplies C(M - j + i, i) up for i = 1..j, with j the smaller of k and
+    M - k; each partial count is an integer no smaller than the last, so the
+    loop stops as soon as one passes ``cap``. A space far above the cap is
+    refused after a few steps, without the exact binomial, whose digits alone
+    can exceed Python's integer-to-string limit.
+    """
+    j = min(batch_size, population - batch_size)
+    count, i = 1, 0
+    while count <= cap and i < j:
+        i += 1
+        count = count * (population - j + i) // i
+    if count > cap:
+        raise EnumerationCapError(
+            f"batch space holds more than {cap} batches, the enumeration cap"
+        )
 
 
 def enumerate_batches(
@@ -313,27 +346,95 @@ def enumerate_batches(
     Raises :class:`EnumerationCapError` up front when the batch space holds
     more than ``cap`` batches (pass ``cap=None`` to disable the guard).
     """
-    _, source = _batch_space(n_components, batch_size, scheme, cap)
+    source = _batch_space(n_components, batch_size, scheme, cap)
     return map(_canonical, source, repeat(scheme))
 
 
 def _batch_space(
-    n_components: int, batch_size: int, scheme: Scheme, cap: int | None
-) -> tuple[int, Iterator[tuple[int, ...]]]:
-    """The batch count and an iterator over the canonical index tuples.
+    n_components: int,
+    batch_size: int,
+    scheme: Scheme,
+    cap: int | None,
+    rows: int | None = None,
+) -> Iterator:
+    """The canonical batches in lexicographic order, as tuples or index blocks.
 
-    The one source of the batch space: :func:`enumerate_batches` wraps its
-    tuples as batches, and the enumeration oracles read them straight into
-    index arrays. The cap is checked here, before any tuple is made.
+    The one source of the batch space, and the one place its size is checked
+    against ``cap``, before anything is made. Without ``rows`` it yields the
+    ``itertools`` tuples that :func:`enumerate_batches` wraps as batches:
+    a batch holds its tuple, and building tuples from numpy rows would cost
+    more than ``itertools`` does. With ``rows`` it yields the same batches
+    as ``(m, batch_size)`` ``np.intp`` blocks of at most ``rows`` rows, for
+    the enumeration oracles: :func:`_subset_blocks` over ``range(M)``
+    (:func:`_subset_population`), mapped to multisets by ``b_j = a_j - j``
+    with replacement.
     """
-    total = count_batches(n_components, batch_size, scheme)
-    if cap is not None and total > cap:
-        raise EnumerationCapError(
-            f"batch space holds {total} batches, above the enumeration cap {cap}"
-        )
+    population = _subset_population(n_components, batch_size, scheme)
+    if cap is not None:
+        _check_cap(population, batch_size, cap)
+    if rows is None:
+        if scheme is Scheme.WITHOUT_REPLACEMENT:
+            return combinations(range(n_components), batch_size)
+        return combinations_with_replacement(range(n_components), batch_size)
+    blocks = _subset_blocks(population, batch_size, rows)
     if scheme is Scheme.WITHOUT_REPLACEMENT:
-        return total, combinations(range(n_components), batch_size)
-    return total, combinations_with_replacement(range(n_components), batch_size)
+        return blocks
+    offsets = np.arange(batch_size)
+    return (np.subtract(block, offsets, out=block) for block in blocks)
+
+
+def _subset_blocks(population: int, size: int, rows: int) -> Iterator[np.ndarray]:
+    """The ``size``-subsets of ``range(population)`` in lexicographic order.
+
+    Yields fresh C-contiguous ``(m, size)`` ``np.intp`` blocks of at most
+    ``rows`` rows, built a column at a time from blocks of prefixes. The
+    children of a prefix, its extensions by column j, are one contiguous
+    value range that ends at top - 1, with top = population - size + j + 1
+    leaving room for the columns after j; its length, the prefix's child
+    count, comes from the column before. Lined up one after another, the
+    children of a block of prefixes sit at flat positions 0 .. total - 1:
+    prefix i owns those below ``ends[i]``, the running sum of the child
+    counts. The child at position p has ``ends[i] - p`` children of its
+    prefix left, itself included, so it holds top minus that, and that is
+    also its own child count. So a block of children is one owner lookup,
+    one gather of the prefix rows and one new column.
+
+    Blocks are expanded depth first, column j in pieces of at most
+    ``rows >> (size - 1 - j)`` positions (at least one): ``rows`` for the
+    last column, half that for the one before, and so on. The prefix
+    blocks held above the last column then add up to about ``rows`` rows,
+    so memory stays within about two blocks whatever the size of the space;
+    a prefix with too many children is split like the rest.
+    """
+
+    def expand(block: np.ndarray, counts: np.ndarray, j: int) -> Iterator[np.ndarray]:
+        ends = np.add.accumulate(counts)
+        total = int(ends[-1])
+        top = population - size + j + 1
+        step = max(1, rows >> (size - 1 - j))
+        for start in range(0, total, step):
+            position = np.arange(start, min(start + step, total))
+            owner = ends.searchsorted(position, "right")
+            left = ends.take(owner)
+            left -= position
+            children = block.take(owner, axis=0)
+            np.subtract(top, left, out=children[:, j])
+            if j + 1 == size:
+                yield children
+            else:
+                yield from expand(children, left, j + 1)
+
+    # Column 0 extends the one empty prefix by 0 .. top - 1.
+    top = population - size + 1
+    step = max(1, rows >> (size - 1))
+    for start in range(0, top, step):
+        values = np.arange(start, min(start + step, top))
+        block = np.empty((len(values), size), np.intp)
+        block[:, 0] = values
+        if size == 1:
+            yield block
+        else:
+            yield from expand(block, top - values, 1)
 
 
 def batch_probability(batch: Batch, n_components: int) -> float:
@@ -357,9 +458,9 @@ def _index_probability(indices, scheme: Scheme, n_components: int) -> float:
         )
     k = len(indices)
     if scheme is Scheme.WITHOUT_REPLACEMENT:
-        return 1.0 / math.comb(n_components, k)
+        return 1 / math.comb(n_components, k)
     orderings = math.factorial(k)
     # Sorted indices sit in runs, one per distinct value, as long as its multiplicity.
     for _, run in groupby(indices):
-        orderings //= math.factorial(sum(1 for _ in run))
+        orderings //= math.factorial(len(list(run)))
     return orderings / n_components**k

@@ -7,14 +7,16 @@ estimators here average over the entire batch space and act as independent
 oracles for those formulas at small scale; a Monte Carlo estimator covers
 populations past the enumeration cap.
 
-The oracles read the batch space from the same itertools source as
-:func:`~varbatch.sampling.enumerate_batches`, but as flat index chunks
-rather than ``Batch`` objects: consecutive batches are read straight into an
-``(m, N_S)`` index array holding at most ``_CHUNK_INDICES`` indices, so
-memory stays bounded whatever the size of the batch space. Each batch is
-weighted by its exact :func:`~varbatch.sampling.batch_probability`, and the
-weighted terms are added one at a time in enumeration order, so a result is
-bit-identical to a per-batch Python loop over the same batches.
+The oracles read the batch space from the source behind
+:func:`~varbatch.sampling.enumerate_batches`, in its order, but as flat
+index chunks rather than ``Batch`` objects: the chunks are built in numpy a
+column at a time, each an ``(m, N_S)`` index array holding at most
+``_CHUNK_INDICES`` indices, so memory stays bounded whatever the size of the
+batch space. Each batch is weighted by its exact
+:func:`~varbatch.sampling.batch_probability`, computed once per call without
+replacement and once per pattern of runs with it, and the weighted terms are
+added one at a time in enumeration order, so a result is bit-identical to a
+per-batch Python loop over the same batches.
 
 Every batch mean, and the full-gradient mean each estimate is centred on,
 adds its rows in index order, with the reduction that
@@ -22,8 +24,6 @@ adds its rows in index order, with the reduction that
 :func:`~varbatch.finite_sum.batch_gradient` use.
 """
 from __future__ import annotations
-
-from itertools import chain
 
 import numpy as np
 
@@ -93,38 +93,124 @@ def analytic_variance(
 def _weighted_chunks(n_components: int, batch_size: int, scheme: Scheme, cap):
     """The batch space as ``(idx, weights)`` chunks, in enumeration order.
 
-    ``idx`` is an ``(m, batch_size)`` index array read straight from the
-    itertools source behind :func:`~varbatch.sampling.enumerate_batches`,
-    with no ``Batch`` built per row; the last chunk is sized from the batch
-    count. ``weights[i]`` is the exact
-    :func:`~varbatch.sampling.batch_probability` of row i. A batch's
-    probability depends only on where its runs of equal indices start (every
-    row starts a run at each index without replacement), so it is computed
-    once per run pattern. The cap is checked at the call, before any chunk
-    is read.
+    ``idx`` is an ``(m, batch_size)`` index array of consecutive batches,
+    with m = ``max(1, _CHUNK_INDICES // batch_size)`` in every chunk but a
+    shorter last one. The rows are built in numpy from the source behind
+    :func:`~varbatch.sampling.enumerate_batches` (``_batch_space`` with a
+    row budget), with no tuple or ``Batch`` per row, and re-sliced here to
+    that size. ``weights[i]`` is the exact
+    :func:`~varbatch.sampling.batch_probability` of row i. Without
+    replacement every batch has the same probability, computed once. With
+    replacement a batch's probability depends only on the columns where its
+    runs of equal indices start, so each row gets an integer key of those
+    columns (:func:`_run_keys`). The probability is computed once per
+    distinct key and call, with Python integers, and the rows look theirs
+    up through the sorted distinct keys of their chunk. The cap is checked
+    at the call, before any chunk is built.
     """
-    total, source = _batch_space(n_components, batch_size, scheme, cap)
-    indices = chain.from_iterable(source)
     rows = max(1, _CHUNK_INDICES // batch_size)
-    by_pattern: dict[bytes, float] = {}
+    blocks = _batch_space(n_components, batch_size, scheme, cap, rows)
+    if scheme is Scheme.WITHOUT_REPLACEMENT:
+        # Every subset has the probability of the first, range(batch_size).
+        weight = _index_probability(range(batch_size), scheme, n_components)
+        return _even_chunks(blocks, rows, lambda idx: np.full(len(idx), weight))
+    by_key: dict = {}
 
-    def chunk(m: int):
-        idx = np.fromiter(indices, np.intp, count=m * batch_size).reshape(m, batch_size)
-        starts = np.packbits(np.diff(idx, axis=1, prepend=-1) != 0, axis=1)
-        patterns = starts.view(np.dtype((np.void, starts.shape[1]))).ravel().tolist()
-        for i, pattern in enumerate(patterns):
-            if pattern not in by_pattern:
-                by_pattern[pattern] = _index_probability(
-                    idx[i].tolist(), scheme, n_components
-                )
-        return idx, np.array([by_pattern[pattern] for pattern in patterns])
+    def weigh(idx: np.ndarray) -> np.ndarray:
+        keys = _run_keys(idx)
+        distinct = _distinct(keys)
+        inverse = distinct.searchsorted(keys)
+        codes = distinct.tolist()
+        if not by_key.keys() >= set(codes):
+            # Every row with a key has that key's probability; read any one.
+            row = np.empty(len(codes), np.intp)
+            row[inverse] = np.arange(len(idx))
+            for code, i in zip(codes, row.tolist()):
+                if code not in by_key:
+                    by_key[code] = _index_probability(idx[i].tolist(), scheme, n_components)
+        return np.array(list(map(by_key.__getitem__, codes))).take(inverse)
 
-    return map(chunk, (min(rows, total - start) for start in range(0, total, rows)))
+    return _even_chunks(blocks, rows, weigh)
+
+
+# Entry j weights the run-start flag of column j in a row's run key: column
+# j >= 1 sets bit j - 1. Column 0 always starts a run, and its flag compares
+# with the row before, so it counts for nothing.
+_COLUMN_BITS = np.concatenate(
+    (np.zeros(1, np.uint64), np.uint64(1) << np.arange(64, dtype=np.uint64))
+)
+
+
+def _run_keys(idx: np.ndarray) -> np.ndarray:
+    """One key per sorted row of ``idx``, equal exactly when runs start alike.
+
+    A row of k indices has a flag per column, set where a run of equal
+    indices starts; the flags come from one comparison of neighbours over
+    the flattened chunk. Columns 1 .. k - 1 pack into one ``uint64`` up to
+    k = 65, and into a ``packbits`` byte string beyond.
+    """
+    flat = idx.ravel()
+    starts = np.empty(flat.size, bool)
+    starts[0] = True
+    np.not_equal(flat[1:], flat[:-1], out=starts[1:])
+    starts = starts.reshape(idx.shape)
+    if idx.shape[1] <= _COLUMN_BITS.size:
+        return starts @ _COLUMN_BITS[: idx.shape[1]]
+    packed = np.packbits(starts[:, 1:], axis=1)
+    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of ``keys``, as ``np.unique`` gives them.
+
+    One sort and one comparison of neighbours; ``np.unique`` in numpy 2.4
+    hashes the keys first and sorts the result, about three times slower on
+    a chunk's keys.
+    """
+    ordered = np.sort(keys)
+    first = np.empty(len(ordered), bool)
+    first[0] = True
+    first[1:] = ordered[1:] != ordered[:-1]
+    return ordered[first]
+
+
+def _even_chunks(blocks, rows: int, weigh):
+    """``(chunk, weigh(chunk))`` over ``blocks`` re-sliced into ``rows`` rows, the last short.
+
+    Rows that do not fill a chunk are held as views and joined once, when
+    the next blocks complete the chunk or the blocks run out.
+    """
+    held, count = [], 0
+    for block in blocks:
+        start = 0
+        if held:
+            start = min(rows - count, len(block))
+            held.append(block[:start])
+            count += start
+            if count < rows:
+                continue
+            chunk = np.concatenate(held)
+            held, count = [], 0
+            yield chunk, weigh(chunk)
+        end = start + (len(block) - start) // rows * rows
+        for first in range(start, end, rows):
+            chunk = block[first : first + rows]
+            yield chunk, weigh(chunk)
+        if end < len(block):
+            held, count = [block[end:]], len(block) - end
+    if held:
+        chunk = held[0] if len(held) == 1 else np.concatenate(held)
+        yield chunk, weigh(chunk)
 
 
 def _add_in_order(total: float, terms: np.ndarray) -> float:
-    """``total + terms[0] + terms[1] + ...``, rounded after each addition."""
-    return float(np.cumsum(np.concatenate(([total], terms)))[-1])
+    """``total + terms[0] + terms[1] + ...``, rounded after each addition.
+
+    ``terms`` is a fresh array and is overwritten: ``total`` goes into its
+    first entry, and a running sum does the rest in order.
+    """
+    terms[0] += total
+    return float(np.add.accumulate(terms)[-1])
 
 
 def exact_batch_variance(

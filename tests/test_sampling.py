@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import varbatch.sampling as sampling
 from helpers import dense_sample_without_replacement, dict_loop_batch
 from varbatch import (
     Batch,
@@ -299,3 +300,57 @@ def test_trusted_batches_pass_the_public_checks():
             assert type(batch) is Batch
             assert all(type(i) is int for i in batch.indices)
             assert batch == Batch(batch.indices, batch.scheme)
+
+
+def test_cap_refusal_for_spaces_with_huge_counts():
+    # C(20000, 10000) has over 6000 digits, past Python's limit for turning
+    # an int into a string; the refusal must not depend on printing it.
+    with pytest.raises(EnumerationCapError, match="more than 1000000"):
+        enumerate_batches(20000, 10000, WITHOUT)
+    with pytest.raises(EnumerationCapError, match="more than 1000000"):
+        enumerate_batches(20000, 10000, WITH)
+
+
+def test_cap_refusal_does_not_count_the_space(monkeypatch):
+    # C(10**6, 5*10**5) alone takes seconds; a space far above the cap must
+    # be refused after a few steps of a running count, never the exact one.
+    real_comb = math.comb
+
+    def small_comb(n, k):
+        if min(k, n - k) > 64:
+            raise AssertionError("computed the exact size of a space above the cap")
+        return real_comb(n, k)
+
+    def no_count(*args):
+        raise AssertionError("counted the whole batch space")
+
+    monkeypatch.setattr(sampling.math, "comb", small_comb)
+    monkeypatch.setattr(sampling, "count_batches", no_count)
+    for scheme in (WITHOUT, WITH):
+        with pytest.raises(EnumerationCapError, match="more than 1000000"):
+            enumerate_batches(10**6, 5 * 10**5, scheme)
+    with pytest.raises(EnumerationCapError, match="more than 7"):
+        enumerate_batches(10**6, 5 * 10**5, WITHOUT, cap=7)
+
+
+def test_cap_admits_spaces_at_the_cap():
+    assert len(list(enumerate_batches(10, 5, WITHOUT, cap=252))) == 252
+    assert len(list(enumerate_batches(5, 3, WITH, cap=35))) == 35
+    with pytest.raises(EnumerationCapError, match="more than 251"):
+        enumerate_batches(10, 5, WITHOUT, cap=251)
+    with pytest.raises(EnumerationCapError, match="more than 34"):
+        enumerate_batches(5, 3, WITH, cap=34)
+
+
+def test_batch_probability_of_a_large_subset_underflows_to_zero():
+    # 1 / C(30000, 15000) is far below the smallest float; the count itself
+    # is too large to convert to one.
+    batch = sample_without_replacement(SeededRng(0), 30000, 15000)
+    assert batch_probability(batch, 30000) == 0.0
+
+
+def test_batch_probability_unchanged_on_small_subsets():
+    for n in range(1, 13):
+        for size in range(1, n + 1):
+            batch = Batch(tuple(range(n - size, n)), WITHOUT)
+            assert batch_probability(batch, n) == 1.0 / math.comb(n, size)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
@@ -342,3 +343,53 @@ def test_chunk_weights_stay_exact_for_long_batches(n, size):
     oracle = exact_batch_variance(problem, x, size, WITH, cap=None)
     var_comp = component_gradient_variance(problem, x)
     assert abs(oracle - var_comp / size) <= 1e-10
+
+
+def test_oracles_refuse_spaces_with_huge_counts():
+    # C(20000, 10000) is too large to print; the oracles must still refuse
+    # the space with the cap error, before any gradient is evaluated.
+    def gradient(i, x):
+        raise AssertionError("evaluated a gradient")
+
+    problem = FiniteSumProblem(1, 20000, lambda i, x: 0.0, gradient)
+    for scheme in (WITHOUT, WITH):
+        with pytest.raises(EnumerationCapError, match="more than"):
+            exact_batch_variance(problem, X0, 10000, scheme)
+    with pytest.raises(EnumerationCapError, match="more than"):
+        average_batch_covariance(problem, X0, 10000)
+
+
+@pytest.mark.parametrize("scheme", [WITHOUT, WITH])
+def test_numpy_chunks_match_itertools_and_batch_probability(scheme):
+    space = combinations if scheme is WITHOUT else combinations_with_replacement
+    for size in range(1, 10):
+        chunks = list(variance._weighted_chunks(9, size, scheme, None))
+        rows = [tuple(row) for idx, _ in chunks for row in idx.tolist()]
+        assert rows == list(space(range(9), size))
+        weights = [w for _, chunk in chunks for w in chunk.tolist()]
+        assert weights == [batch_probability(b, 9) for b in enumerate_batches(9, size, scheme)]
+
+
+def test_chunk_weights_exact_past_one_word_of_run_flags():
+    # 99 run flags need more than a 64-bit key.
+    chunks = list(variance._weighted_chunks(2, 100, WITH, None))
+    assert variance._run_keys(chunks[0][0]).dtype.kind == "V"
+    rows = [tuple(row) for idx, _ in chunks for row in idx.tolist()]
+    assert rows == list(combinations_with_replacement(range(2), 100))
+    weights = [w for _, chunk in chunks for w in chunk.tolist()]
+    batches = enumerate_batches(2, 100, WITH, cap=None)
+    assert weights == [batch_probability(b, 2) for b in batches]
+
+
+def test_first_chunk_of_a_large_space_stays_small():
+    # The whole space of 10**6 one-index batches is 8 MB of indices; the
+    # first chunk must come without building it.
+    tracemalloc.start()
+    try:
+        idx, weights = next(variance._weighted_chunks(10**6, 1, WITHOUT, None))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(idx) == len(weights) <= variance._CHUNK_INDICES
+    assert idx.ravel().tolist() == list(range(len(idx)))
+    assert peak < 1_000_000
