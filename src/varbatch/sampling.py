@@ -387,17 +387,52 @@ def _subset_blocks(population: int, size: int, rows: int) -> Iterator[np.ndarray
     """The ``size``-subsets of ``range(population)`` in lexicographic order.
 
     Yields fresh C-contiguous ``(m, size)`` ``np.intp`` blocks of at most
-    ``rows`` rows, built a column at a time from blocks of prefixes. The
-    children of a prefix, its extensions by column j, are one contiguous
-    value range that ends at top - 1, with top = population - size + j + 1
-    leaving room for the columns after j; its length, the prefix's child
-    count, comes from the column before. Lined up one after another, the
-    children of a block of prefixes sit at flat positions 0 .. total - 1:
-    prefix i owns those below ``ends[i]``, the running sum of the child
-    counts. The child at position p has ``ends[i] - p`` children of its
-    prefix left, itself included, so it holds top minus that, and that is
-    also its own child count. So a block of children is one owner lookup,
-    one gather of the prefix rows and one new column.
+    ``rows`` rows, built a column at a time by :func:`_prefix_tree`. When
+    the complements have at most half as many columns, the subsets are
+    built as complements: one pass over a ``(m, population)`` mask costs a
+    few columns. Complements come in the reverse of lexicographic order, so
+    they are built backwards and each block is flipped before it is
+    complemented. So the long batches a space within the cap can hold,
+    over a few components or most of a population, take a few columns,
+    not thousands.
+    """
+    other = population - size
+    if 2 * other > size:
+        return _prefix_tree(population, size, rows, backward=False)
+    if other == 0:
+        return iter([np.arange(population)[None, :]])
+    backwards = _prefix_tree(population, other, rows, backward=True)
+    return map(_complement, backwards, repeat(population))
+
+
+def _complement(block: np.ndarray, population: int) -> np.ndarray:
+    """The complements in ``range(population)`` of ``block``'s rows, flipped."""
+    # Flat positions of the flipped block's values in an (m, population) mask.
+    m = len(block)
+    taken = block[::-1] + np.arange(0, m * population, population)[:, None]
+    keep = np.ones(m * population, bool)
+    keep[taken.ravel()] = False
+    return np.flatnonzero(keep).reshape(m, population - block.shape[1]) % population
+
+
+def _prefix_tree(
+    population: int, size: int, rows: int, backward: bool
+) -> Iterator[np.ndarray]:
+    """The ``size``-subsets of ``range(population)``, column by column.
+
+    Yields ``(m, size)`` blocks of at most ``rows`` rows, in lexicographic
+    order, or with ``backward`` the blocks in reverse order, each block
+    still in order. The children of a prefix, its extensions by column j,
+    are one contiguous value range that ends at top - 1, with
+    top = population - size + j + 1 leaving room for the columns after j;
+    its length, the prefix's child count, comes from the column before.
+    Lined up one after another, the children of a block of prefixes sit at
+    flat positions 0 .. total - 1: prefix i owns those below ``ends[i]``,
+    the running sum of the child counts. The child at position p has
+    ``ends[i] - p`` children of its prefix left, itself included, so it
+    holds top minus that, and that is also its own child count. So a block
+    of children is one owner lookup, one gather of the prefix rows and one
+    new column.
 
     Blocks are expanded depth first, column j in pieces of at most
     ``rows >> (size - 1 - j)`` positions (at least one): ``rows`` for the
@@ -406,35 +441,46 @@ def _subset_blocks(population: int, size: int, rows: int) -> Iterator[np.ndarray
     so memory stays within about two blocks whatever the size of the space;
     a prefix with too many children is split like the rest.
     """
+    def pieces(total: int, step: int) -> range:
+        # Piece s covers max(s, 0) .. min(s + step, total) - 1. Backwards the
+        # pieces end at total, so the short one comes last, as it does forwards.
+        return range(total - step, -step, -step) if backward else range(0, total, step)
 
-    def expand(block: np.ndarray, counts: np.ndarray, j: int) -> Iterator[np.ndarray]:
+    def column_zero() -> Iterator[tuple]:
+        # The one empty prefix has the children 0 .. top - 1.
+        top = population - size + 1
+        step = max(1, rows >> (size - 1))
+        for start in pieces(top, step):
+            values = np.arange(max(start, 0), min(start + step, top))
+            block = np.empty((len(values), size), np.intp)
+            block[:, 0] = values
+            yield block, top - values
+
+    def column(block: np.ndarray, counts: np.ndarray, j: int) -> Iterator[tuple]:
         ends = np.add.accumulate(counts)
         total = int(ends[-1])
         top = population - size + j + 1
         step = max(1, rows >> (size - 1 - j))
-        for start in range(0, total, step):
-            position = np.arange(start, min(start + step, total))
+        for start in pieces(total, step):
+            position = np.arange(max(start, 0), min(start + step, total))
             owner = ends.searchsorted(position, "right")
             left = ends.take(owner)
             left -= position
             children = block.take(owner, axis=0)
             np.subtract(top, left, out=children[:, j])
-            if j + 1 == size:
-                yield children
-            else:
-                yield from expand(children, left, j + 1)
+            yield children, left
 
-    # Column 0 extends the one empty prefix by 0 .. top - 1.
-    top = population - size + 1
-    step = max(1, rows >> (size - 1))
-    for start in range(0, top, step):
-        values = np.arange(start, min(start + step, top))
-        block = np.empty((len(values), size), np.intp)
-        block[:, 0] = values
-        if size == 1:
-            yield block
+    # One piece iterator per column being built, deepest last: an explicit
+    # stack, since a batch can have more columns than Python allows frames.
+    columns = [column_zero()]
+    while columns:
+        piece = next(columns[-1], None)
+        if piece is None:
+            columns.pop()
+        elif len(columns) == size:
+            yield piece[0]
         else:
-            yield from expand(block, top - values, 1)
+            columns.append(column(*piece, len(columns)))
 
 
 def batch_probability(batch: Batch, n_components: int) -> float:
