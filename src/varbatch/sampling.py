@@ -8,10 +8,9 @@ its tuple of Python ints is built only when read. For small populations the
 full batch space can be enumerated together with each batch's exact
 probability; enumerated batches hold their ``itertools`` tuples. The
 exact-expectation oracles in :mod:`varbatch.variance` read the same space,
-in the same order, from the same source behind :func:`enumerate_batches`,
-but as index blocks built in numpy a column at a time, with no tuple per
-batch; a multiset is read as a subset of a larger range, with column j
-lowered by j.
+in the same order, as index blocks built in numpy a column at a time
+(:func:`_subset_blocks`), with no tuple per batch; a multiset is read as a
+subset of a larger range, with column j lowered by j.
 """
 from __future__ import annotations
 
@@ -295,24 +294,31 @@ def count_batches(n_components: int, batch_size: int, scheme: Scheme) -> int:
     return math.comb(_subset_population(n_components, batch_size, scheme), batch_size)
 
 
-def _subset_population(n_components: int, batch_size: int, scheme: Scheme) -> int:
+def _subset_population(
+    n_components: int, batch_size: int, scheme: Scheme, cap: int | None = None
+) -> int:
     """The M whose ``batch_size``-subsets the batch space maps onto, checked.
 
     Without replacement M = N. With replacement M = N + k - 1: the
     order-preserving bijection ``a_j = b_j + j`` maps a canonical multiset
-    b of ``range(N)`` to a k-subset a of ``range(M)``, and back.
+    b of ``range(N)`` to a k-subset a of ``range(M)``, and back. The one
+    place the batch space is checked, against ``cap`` too when one is given.
     """
     if n_components < 1:
         raise ValueError("population must contain at least one component")
     if batch_size < 1:
         raise ValueError("batch size must be at least 1")
     if scheme is Scheme.WITH_REPLACEMENT:
-        return n_components + batch_size - 1
-    if batch_size > n_components:
+        population = n_components + batch_size - 1
+    elif batch_size > n_components:
         raise ValueError(
             f"cannot draw {batch_size} distinct indices from {n_components} components"
         )
-    return n_components
+    else:
+        population = n_components
+    if cap is not None:
+        _check_cap(population, batch_size, cap)
+    return population
 
 
 def _check_cap(population: int, batch_size: int, cap: int) -> None:
@@ -320,9 +326,8 @@ def _check_cap(population: int, batch_size: int, cap: int) -> None:
 
     Multiplies C(M - j + i, i) up for i = 1..j, with j the smaller of k and
     M - k; each partial count is an integer no smaller than the last, so the
-    loop stops as soon as one passes ``cap``. A space far above the cap is
-    refused after a few steps, without the exact binomial, whose digits alone
-    can exceed Python's integer-to-string limit.
+    loop stops as soon as one passes ``cap``, without the exact binomial,
+    whose digits alone can exceed Python's integer-to-string limit.
     """
     j = min(batch_size, population - batch_size)
     count, i = 1, 0
@@ -344,114 +349,38 @@ def enumerate_batches(
     """Yield every canonical batch exactly once, in lexicographic order.
 
     Raises :class:`EnumerationCapError` up front when the batch space holds
-    more than ``cap`` batches (pass ``cap=None`` to disable the guard).
+    more than ``cap`` batches (pass ``cap=None`` to disable the guard). A
+    batch holds its ``itertools`` tuple: building tuples from numpy rows
+    costs more than ``itertools`` does.
     """
-    source = _batch_space(n_components, batch_size, scheme, cap)
-    return map(_canonical, source, repeat(scheme))
-
-
-def _batch_space(
-    n_components: int,
-    batch_size: int,
-    scheme: Scheme,
-    cap: int | None,
-    rows: int | None = None,
-) -> Iterator:
-    """The canonical batches in lexicographic order, as tuples or index blocks.
-
-    The one source of the batch space, and the one place its size is checked
-    against ``cap``, before anything is made. Without ``rows`` it yields the
-    ``itertools`` tuples that :func:`enumerate_batches` wraps as batches:
-    a batch holds its tuple, and building tuples from numpy rows would cost
-    more than ``itertools`` does. With ``rows`` it yields the same batches
-    as ``(m, batch_size)`` ``np.intp`` blocks of at most ``rows`` rows, for
-    the enumeration oracles: :func:`_subset_blocks` over ``range(M)``
-    (:func:`_subset_population`), mapped to multisets by ``b_j = a_j - j``
-    with replacement.
-    """
-    population = _subset_population(n_components, batch_size, scheme)
-    if cap is not None:
-        _check_cap(population, batch_size, cap)
-    if rows is None:
-        if scheme is Scheme.WITHOUT_REPLACEMENT:
-            return combinations(range(n_components), batch_size)
-        return combinations_with_replacement(range(n_components), batch_size)
-    blocks = _subset_blocks(population, batch_size, rows)
+    _subset_population(n_components, batch_size, scheme, cap)
     if scheme is Scheme.WITHOUT_REPLACEMENT:
-        return blocks
-    offsets = np.arange(batch_size)
-    return (np.subtract(block, offsets, out=block) for block in blocks)
+        source = combinations(range(n_components), batch_size)
+    else:
+        source = combinations_with_replacement(range(n_components), batch_size)
+    return map(_canonical, source, repeat(scheme))
 
 
 def _subset_blocks(population: int, size: int, rows: int) -> Iterator[np.ndarray]:
     """The ``size``-subsets of ``range(population)`` in lexicographic order.
 
-    Yields fresh C-contiguous ``(m, size)`` ``np.intp`` blocks of at most
-    ``rows`` rows, built a column at a time by :func:`_prefix_tree`. When
-    the complements have at most half as many columns, the subsets are
-    built as complements: one pass over a ``(m, population)`` mask costs a
-    few columns. Complements come in the reverse of lexicographic order, so
-    they are built backwards and each block is flipped before it is
-    complemented. So the long batches a space within the cap can hold,
-    over a few components or most of a population, take a few columns,
-    not thousands.
+    Yields fresh ``(m, size)`` ``np.intp`` blocks of at most ``rows`` rows,
+    built a column at a time. The children of a prefix, its values in
+    column j, are one range ending at top - 1, top = population - size +
+    j + 1. Lined up, the children of a block of prefixes sit at flat
+    positions 0 .. total - 1, prefix i owning those below ``ends[i]``; the
+    child at position p holds top - (ends[i] - p), and ends[i] - p is also
+    its own child count.
+
+    Column j is expanded depth first in pieces of ``rows >> (size - 1 - j)``
+    positions (at least one), so the prefix blocks held above the last
+    column add up to about ``rows`` rows whatever the size of the space.
     """
-    other = population - size
-    if 2 * other > size:
-        return _prefix_tree(population, size, rows, backward=False)
-    if other == 0:
-        return iter([np.arange(population)[None, :]])
-    backwards = _prefix_tree(population, other, rows, backward=True)
-    return map(_complement, backwards, repeat(population))
-
-
-def _complement(block: np.ndarray, population: int) -> np.ndarray:
-    """The complements in ``range(population)`` of ``block``'s rows, flipped."""
-    # Flat positions of the flipped block's values in an (m, population) mask.
-    m = len(block)
-    taken = block[::-1] + np.arange(0, m * population, population)[:, None]
-    keep = np.ones(m * population, bool)
-    keep[taken.ravel()] = False
-    return np.flatnonzero(keep).reshape(m, population - block.shape[1]) % population
-
-
-def _prefix_tree(
-    population: int, size: int, rows: int, backward: bool
-) -> Iterator[np.ndarray]:
-    """The ``size``-subsets of ``range(population)``, column by column.
-
-    Yields ``(m, size)`` blocks of at most ``rows`` rows, in lexicographic
-    order, or with ``backward`` the blocks in reverse order, each block
-    still in order. The children of a prefix, its extensions by column j,
-    are one contiguous value range that ends at top - 1, with
-    top = population - size + j + 1 leaving room for the columns after j;
-    its length, the prefix's child count, comes from the column before.
-    Lined up one after another, the children of a block of prefixes sit at
-    flat positions 0 .. total - 1: prefix i owns those below ``ends[i]``,
-    the running sum of the child counts. The child at position p has
-    ``ends[i] - p`` children of its prefix left, itself included, so it
-    holds top minus that, and that is also its own child count. So a block
-    of children is one owner lookup, one gather of the prefix rows and one
-    new column.
-
-    Blocks are expanded depth first, column j in pieces of at most
-    ``rows >> (size - 1 - j)`` positions (at least one): ``rows`` for the
-    last column, half that for the one before, and so on. The prefix
-    blocks held above the last column then add up to about ``rows`` rows,
-    so memory stays within about two blocks whatever the size of the space;
-    a prefix with too many children is split like the rest.
-    """
-    def pieces(total: int, step: int) -> range:
-        # Piece s covers max(s, 0) .. min(s + step, total) - 1. Backwards the
-        # pieces end at total, so the short one comes last, as it does forwards.
-        return range(total - step, -step, -step) if backward else range(0, total, step)
-
     def column_zero() -> Iterator[tuple]:
-        # The one empty prefix has the children 0 .. top - 1.
         top = population - size + 1
         step = max(1, rows >> (size - 1))
-        for start in pieces(top, step):
-            values = np.arange(max(start, 0), min(start + step, top))
+        for start in range(0, top, step):
+            values = np.arange(start, min(start + step, top))
             block = np.empty((len(values), size), np.intp)
             block[:, 0] = values
             yield block, top - values
@@ -461,8 +390,8 @@ def _prefix_tree(
         total = int(ends[-1])
         top = population - size + j + 1
         step = max(1, rows >> (size - 1 - j))
-        for start in pieces(total, step):
-            position = np.arange(max(start, 0), min(start + step, total))
+        for start in range(0, total, step):
+            position = np.arange(start, min(start + step, total))
             owner = ends.searchsorted(position, "right")
             left = ends.take(owner)
             left -= position

@@ -7,12 +7,11 @@ estimators here average over the entire batch space and act as independent
 oracles for those formulas at small scale; a Monte Carlo estimator covers
 populations past the enumeration cap.
 
-The oracles read the batch space from the source behind
-:func:`~varbatch.sampling.enumerate_batches`, in its order, but as flat
-index chunks rather than ``Batch`` objects: the chunks are built in numpy a
-column at a time, each an ``(m, N_S)`` index array holding at most
-``_CHUNK_INDICES`` indices, so memory stays bounded whatever the size of the
-batch space. Each batch is weighted by its exact
+The oracles read the batch space in the order of
+:func:`~varbatch.sampling.enumerate_batches`, but as flat index chunks
+rather than ``Batch`` objects: the chunks are built in numpy a column at a
+time, each an ``(m, N_S)`` index array holding at most ``_CHUNK_INDICES``
+indices, so memory stays bounded whatever the size of the batch space. Each batch is weighted by its exact
 :func:`~varbatch.sampling.batch_probability`, computed once per call without
 replacement and once per pattern of runs with it, and the weighted terms are
 added one at a time in enumeration order, so a result is bit-identical to a
@@ -40,8 +39,9 @@ from .sampling import (
     DEFAULT_ENUMERATION_CAP,
     Scheme,
     SeededRng,
-    _batch_space,
     _index_probability,
+    _subset_blocks,
+    _subset_population,
     sample_with_replacement,
     sample_without_replacement,
 )
@@ -95,25 +95,24 @@ def _weighted_chunks(n_components: int, batch_size: int, scheme: Scheme, cap):
 
     ``idx`` is an ``(m, batch_size)`` index array of consecutive batches,
     with m = ``max(1, _CHUNK_INDICES // batch_size)`` in every chunk but a
-    shorter last one. The rows are built in numpy from the source behind
-    :func:`~varbatch.sampling.enumerate_batches` (``_batch_space`` with a
-    row budget), with no tuple or ``Batch`` per row, and re-sliced here to
-    that size. ``weights[i]`` is the exact
+    shorter last one, re-sliced from
+    :func:`~varbatch.sampling._subset_blocks`. ``weights[i]`` is the exact
     :func:`~varbatch.sampling.batch_probability` of row i. Without
-    replacement every batch has the same probability, computed once. With
-    replacement a batch's probability depends only on the columns where its
-    runs of equal indices start, so each row gets an integer key of those
-    columns (:func:`_run_keys`). The probability is computed once per
-    distinct key and call, with Python integers, and the rows look theirs
-    up through the sorted distinct keys of their chunk. The cap is checked
-    at the call, before any chunk is built.
+    replacement it is one value. With replacement it depends only on the
+    columns where a row's runs of equal indices start, so it is computed
+    once per distinct such pattern (:func:`_run_keys`) and call. The cap is
+    checked at the call, before any chunk is built.
     """
+    population = _subset_population(n_components, batch_size, scheme, cap)
     rows = max(1, _CHUNK_INDICES // batch_size)
-    blocks = _batch_space(n_components, batch_size, scheme, cap, rows)
+    blocks = _subset_blocks(population, batch_size, rows)
     if scheme is Scheme.WITHOUT_REPLACEMENT:
         # Every subset has the probability of the first, range(batch_size).
         weight = _index_probability(range(batch_size), scheme, n_components)
         return _even_chunks(blocks, rows, lambda idx: np.full(len(idx), weight))
+    # Multisets from subsets of range(N + k - 1): b_j = a_j - j.
+    offsets = np.arange(batch_size)
+    blocks = (np.subtract(block, offsets, out=block) for block in blocks)
     by_key: dict = {}
 
     def weigh(idx: np.ndarray) -> np.ndarray:
@@ -133,39 +132,33 @@ def _weighted_chunks(n_components: int, batch_size: int, scheme: Scheme, cap):
     return _even_chunks(blocks, rows, weigh)
 
 
-# Entry j weights the run-start flag of column j in a row's run key: column
-# j >= 1 sets bit j - 1. Column 0 always starts a run, and its flag compares
-# with the row before, so it counts for nothing.
-_COLUMN_BITS = np.concatenate(
-    (np.zeros(1, np.uint64), np.uint64(1) << np.arange(64, dtype=np.uint64))
-)
+# Bit j of a row's run key flags a run starting at column j + 1.
+_RUN_BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
 
 def _run_keys(idx: np.ndarray) -> np.ndarray:
-    """One key per sorted row of ``idx``, equal exactly when runs start alike.
+    """One key per sorted row of ``idx``, equal exactly when its runs start alike.
 
-    A row of k indices has a flag per column, set where a run of equal
-    indices starts; the flags come from one comparison of neighbours over
-    the flattened chunk. Columns 1 .. k - 1 pack into one ``uint64`` up to
-    k = 65, and into a ``packbits`` byte string beyond.
+    The flags come from one comparison of neighbours over the flattened
+    chunk; column 0, which always starts a run, is left out. Up to 64 flags
+    pack into a ``uint64`` by one matmul, more into a ``packbits`` byte
+    string, which takes about four times as long to build and sort.
     """
     flat = idx.ravel()
     starts = np.empty(flat.size, bool)
-    starts[0] = True
     np.not_equal(flat[1:], flat[:-1], out=starts[1:])
-    starts = starts.reshape(idx.shape)
-    if idx.shape[1] <= _COLUMN_BITS.size:
-        return starts @ _COLUMN_BITS[: idx.shape[1]]
-    packed = np.packbits(starts[:, 1:], axis=1)
+    flags = starts.reshape(idx.shape)[:, 1:]
+    if flags.shape[1] <= _RUN_BITS.size:
+        return flags @ _RUN_BITS[: flags.shape[1]]
+    packed = np.packbits(flags, axis=1)
     return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of ``keys``, as ``np.unique`` gives them.
+    """The sorted distinct values of ``keys``: one sort and one comparison of neighbours.
 
-    One sort and one comparison of neighbours; ``np.unique`` in numpy 2.4
-    hashes the keys first and sorts the result, about three times slower on
-    a chunk's keys.
+    ``np.unique`` does the same with more fixed cost per call, which
+    ``verify`` pays once per cell.
     """
     ordered = np.sort(keys)
     first = np.empty(len(ordered), bool)
