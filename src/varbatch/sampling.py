@@ -364,7 +364,7 @@ def enumerate_batches(
 def _subset_blocks(population: int, size: int, rows: int) -> Iterator[np.ndarray]:
     """The ``size``-subsets of ``range(population)`` in lexicographic order.
 
-    Yields fresh ``(m, size)`` ``np.intp`` blocks of at most ``rows`` rows,
+    Yields fresh ``(rows, size)`` ``np.intp`` blocks, the last one shorter,
     built a column at a time. The children of a prefix, its values in
     column j, are one range ending at top - 1, top = population - size +
     j + 1. Lined up, the children of a block of prefixes sit at flat
@@ -372,11 +372,23 @@ def _subset_blocks(population: int, size: int, rows: int) -> Iterator[np.ndarray
     child at position p holds top - (ends[i] - p), and ends[i] - p is also
     its own child count.
 
-    Column j is expanded depth first in pieces of ``rows >> (size - 1 - j)``
-    positions (at least one), so the prefix blocks held above the last
-    column add up to about ``rows`` rows whatever the size of the space.
+    Column j < size - 1 is expanded depth first in pieces of
+    ``rows >> (size - 1 - j)`` positions (at least one), so the prefix
+    blocks held add up to about ``rows`` rows whatever the size of the
+    space; the last column is written straight into the block being filled.
     """
-    def column_zero() -> Iterator[tuple]:
+    def expand(block, ends, start, stop, j, out=None):
+        # The children at positions start .. stop - 1, and their child counts.
+        position = np.arange(start, stop)
+        owner = ends.searchsorted(position, "right")
+        left = ends.take(owner)
+        left -= position
+        # mode="clip" lets take write into ``out`` unbuffered; owner is in range.
+        children = block.take(owner, axis=0, out=out, mode="clip")
+        np.subtract(population - size + j + 1, left, out=children[:, j])
+        return children, left
+
+    def column_zero():
         top = population - size + 1
         step = max(1, rows >> (size - 1))
         for start in range(0, top, step):
@@ -385,31 +397,39 @@ def _subset_blocks(population: int, size: int, rows: int) -> Iterator[np.ndarray
             block[:, 0] = values
             yield block, top - values
 
-    def column(block: np.ndarray, counts: np.ndarray, j: int) -> Iterator[tuple]:
+    def column(block, counts, j):
         ends = np.add.accumulate(counts)
         total = int(ends[-1])
-        top = population - size + j + 1
         step = max(1, rows >> (size - 1 - j))
         for start in range(0, total, step):
-            position = np.arange(start, min(start + step, total))
-            owner = ends.searchsorted(position, "right")
-            left = ends.take(owner)
-            left -= position
-            children = block.take(owner, axis=0)
-            np.subtract(top, left, out=children[:, j])
-            yield children, left
+            yield expand(block, ends, start, min(start + step, total), j)
 
+    remaining, filled = math.comb(population, size), 0
     # One piece iterator per column being built, deepest last: an explicit
     # stack, since a batch can have more columns than Python allows frames.
-    columns = [column_zero()]
-    while columns:
-        piece = next(columns[-1], None)
+    stack = [column_zero()]
+    while stack:
+        piece = next(stack[-1], None)
         if piece is None:
-            columns.pop()
-        elif len(columns) == size:
-            yield piece[0]
+            stack.pop()
+        elif len(stack) == size:
+            yield piece[0]  # one column: its pieces hold ``rows`` batches each
+        elif len(stack) < size - 1:
+            stack.append(column(*piece, len(stack)))
         else:
-            columns.append(column(*piece, len(columns)))
+            ends = np.add.accumulate(piece[1])
+            start, total = 0, int(ends[-1])
+            while start < total:
+                if not filled:
+                    chunk = np.empty((min(rows, remaining), size), np.intp)
+                stop = min(start + len(chunk) - filled, total)
+                expand(piece[0], ends, start, stop, size - 1, chunk[filled : filled + stop - start])
+                filled += stop - start
+                start = stop
+                if filled == len(chunk):
+                    yield chunk
+                    remaining -= filled
+                    filled = 0
 
 
 def batch_probability(batch: Batch, n_components: int) -> float:

@@ -93,10 +93,10 @@ def analytic_variance(
 def _weighted_chunks(n_components: int, batch_size: int, scheme: Scheme, cap):
     """The batch space as ``(idx, weights)`` chunks, in enumeration order.
 
-    ``idx`` is an ``(m, batch_size)`` index array of consecutive batches,
-    with m = ``max(1, _CHUNK_INDICES // batch_size)`` in every chunk but a
-    shorter last one, re-sliced from
-    :func:`~varbatch.sampling._subset_blocks`. ``weights[i]`` is the exact
+    ``idx`` is an ``(m, batch_size)`` index array of consecutive batches
+    from :func:`~varbatch.sampling._subset_blocks`, with m =
+    ``max(1, _CHUNK_INDICES // batch_size)`` in every chunk but a shorter
+    last one. ``weights[i]`` is the exact
     :func:`~varbatch.sampling.batch_probability` of row i. Without
     replacement it is one value. With replacement it depends only on the
     columns where a row's runs of equal indices start, so it is computed
@@ -105,17 +105,17 @@ def _weighted_chunks(n_components: int, batch_size: int, scheme: Scheme, cap):
     """
     population = _subset_population(n_components, batch_size, scheme, cap)
     rows = max(1, _CHUNK_INDICES // batch_size)
-    blocks = _subset_blocks(population, batch_size, rows)
+    chunks = _subset_blocks(population, batch_size, rows)
     if scheme is Scheme.WITHOUT_REPLACEMENT:
         # Every subset has the probability of the first, range(batch_size).
         weight = _index_probability(range(batch_size), scheme, n_components)
-        return _even_chunks(blocks, rows, lambda idx: np.full(len(idx), weight))
-    # Multisets from subsets of range(N + k - 1): b_j = a_j - j.
+        return ((idx, np.full(len(idx), weight)) for idx in chunks)
     offsets = np.arange(batch_size)
-    blocks = (np.subtract(block, offsets, out=block) for block in blocks)
     by_key: dict = {}
 
-    def weigh(idx: np.ndarray) -> np.ndarray:
+    def weigh(idx: np.ndarray) -> tuple:
+        # Multisets from subsets of range(N + k - 1): b_j = a_j - j.
+        idx -= offsets
         keys = _run_keys(idx)
         distinct = _distinct(keys)
         inverse = distinct.searchsorted(keys)
@@ -127,9 +127,9 @@ def _weighted_chunks(n_components: int, batch_size: int, scheme: Scheme, cap):
             for code, i in zip(codes, row.tolist()):
                 if code not in by_key:
                     by_key[code] = _index_probability(idx[i].tolist(), scheme, n_components)
-        return np.array(list(map(by_key.__getitem__, codes))).take(inverse)
+        return idx, np.array(list(map(by_key.__getitem__, codes))).take(inverse)
 
-    return _even_chunks(blocks, rows, weigh)
+    return map(weigh, chunks)
 
 
 # Bit j of a row's run key flags a run starting at column j + 1.
@@ -165,35 +165,6 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     first[0] = True
     first[1:] = ordered[1:] != ordered[:-1]
     return ordered[first]
-
-
-def _even_chunks(blocks, rows: int, weigh):
-    """``(chunk, weigh(chunk))`` over ``blocks`` re-sliced into ``rows`` rows, the last short.
-
-    Rows that do not fill a chunk are held as views and joined once, when
-    the next blocks complete the chunk or the blocks run out.
-    """
-    held, count = [], 0
-    for block in blocks:
-        start = 0
-        if held:
-            start = min(rows - count, len(block))
-            held.append(block[:start])
-            count += start
-            if count < rows:
-                continue
-            chunk = np.concatenate(held)
-            held, count = [], 0
-            yield chunk, weigh(chunk)
-        end = start + (len(block) - start) // rows * rows
-        for first in range(start, end, rows):
-            chunk = block[first : first + rows]
-            yield chunk, weigh(chunk)
-        if end < len(block):
-            held, count = [block[end:]], len(block) - end
-    if held:
-        chunk = held[0] if len(held) == 1 else np.concatenate(held)
-        yield chunk, weigh(chunk)
 
 
 def _add_in_order(total: float, terms: np.ndarray) -> float:
