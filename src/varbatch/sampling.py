@@ -6,11 +6,9 @@ multiset/subset equality is structural. A sampled batch holds the sorted
 index array its sampler computed, which gradient evaluation reads as it is;
 its tuple of Python ints is built only when read. For small populations the
 full batch space can be enumerated together with each batch's exact
-probability; enumerated batches hold their ``itertools`` tuples. The
-exact-expectation oracles in :mod:`varbatch.variance` read the same space,
-in the same order, as index blocks built in numpy a column at a time
-(:func:`_subset_blocks`), with no tuple per batch; a multiset is read as a
-subset of a larger range, with column j lowered by j.
+probability; enumerated batches hold their tuples. The exact-expectation
+oracles in :mod:`varbatch.variance` read the same space, in the same order,
+as numpy index blocks (:func:`_subset_blocks`).
 """
 from __future__ import annotations
 
@@ -297,12 +295,10 @@ def count_batches(n_components: int, batch_size: int, scheme: Scheme) -> int:
 def _subset_population(
     n_components: int, batch_size: int, scheme: Scheme, cap: int | None = None
 ) -> int:
-    """The M whose ``batch_size``-subsets the batch space maps onto, checked.
+    """The M whose k-subsets the batch space maps onto, checked against ``cap`` if given.
 
-    Without replacement M = N. With replacement M = N + k - 1: the
-    order-preserving bijection ``a_j = b_j + j`` maps a canonical multiset
-    b of ``range(N)`` to a k-subset a of ``range(M)``, and back. The one
-    place the batch space is checked, against ``cap`` too when one is given.
+    With replacement M = N + k - 1: ``a_j = b_j + j`` maps a canonical
+    multiset b of ``range(N)`` onto a k-subset a of ``range(M)``.
     """
     if n_components < 1:
         raise ValueError("population must contain at least one component")
@@ -316,19 +312,12 @@ def _subset_population(
         )
     else:
         population = n_components
-    if cap is not None:
-        _check_cap(population, batch_size, cap)
-    return population
-
-
-def _check_cap(population: int, batch_size: int, cap: int) -> None:
-    """Raise :class:`EnumerationCapError` when C(population, batch_size) > cap.
-
-    Multiplies C(M - j + i, i) up for i = 1..j, with j the smaller of k and
-    M - k; each partial count is an integer no smaller than the last, so the
-    loop stops as soon as one passes ``cap``, without the exact binomial,
-    whose digits alone can exceed Python's integer-to-string limit.
-    """
+    if cap is None:
+        return population
+    # C(M, k) multiplied up as C(M - j + i, i) for i = 1..j, j = min(k, M - k).
+    # Each partial count is an integer no smaller than the last, so the loop
+    # stops once one passes the cap, without the exact count, whose digits
+    # alone can pass Python's limit for turning an int into a string.
     j = min(batch_size, population - batch_size)
     count, i = 1, 0
     while count <= cap and i < j:
@@ -338,6 +327,7 @@ def _check_cap(population: int, batch_size: int, cap: int) -> None:
         raise EnumerationCapError(
             f"batch space holds more than {cap} batches, the enumeration cap"
         )
+    return population
 
 
 def enumerate_batches(
@@ -349,10 +339,10 @@ def enumerate_batches(
     """Yield every canonical batch exactly once, in lexicographic order.
 
     Raises :class:`EnumerationCapError` up front when the batch space holds
-    more than ``cap`` batches (pass ``cap=None`` to disable the guard). A
-    batch holds its ``itertools`` tuple: building tuples from numpy rows
-    costs more than ``itertools`` does.
+    more than ``cap`` batches (pass ``cap=None`` to disable the guard).
     """
+    # Each batch holds its itertools tuple: building tuples from numpy rows
+    # costs more than itertools does.
     _subset_population(n_components, batch_size, scheme, cap)
     if scheme is Scheme.WITHOUT_REPLACEMENT:
         source = combinations(range(n_components), batch_size)
@@ -364,19 +354,18 @@ def enumerate_batches(
 def _subset_blocks(population: int, size: int, rows: int) -> Iterator[np.ndarray]:
     """The ``size``-subsets of ``range(population)`` in lexicographic order.
 
-    Yields fresh ``(rows, size)`` ``np.intp`` blocks, the last one shorter,
-    built a column at a time. The children of a prefix, its values in
-    column j, are one range ending at top - 1, top = population - size +
-    j + 1. Lined up, the children of a block of prefixes sit at flat
-    positions 0 .. total - 1, prefix i owning those below ``ends[i]``; the
-    child at position p holds top - (ends[i] - p), and ends[i] - p is also
-    its own child count.
-
-    Column j < size - 1 is expanded depth first in pieces of
-    ``rows >> (size - 1 - j)`` positions (at least one), so the prefix
-    blocks held add up to about ``rows`` rows whatever the size of the
-    space; the last column is written straight into the block being filled.
+    Yields fresh ``(rows, size)`` ``np.intp`` blocks, the last one shorter.
     """
+    # Built a column at a time. The children of a prefix, its values in
+    # column j, are one range ending at top - 1, top = population - size +
+    # j + 1. Lined up, the children of a block of prefixes sit at positions
+    # 0 .. total - 1, prefix i owning those below ends[i]; the child at
+    # position p holds top - (ends[i] - p), and ends[i] - p is also its own
+    # child count. Column j < size - 1 is expanded depth first in pieces of
+    # rows >> (size - 1 - j) positions (at least one), so the prefix blocks
+    # held add up to about ``rows`` rows whatever the size of the space; the
+    # last column is written straight into the block being filled.
+
     def expand(block, ends, start, stop, j, out=None):
         # The children at positions start .. stop - 1, and their child counts.
         position = np.arange(start, stop)
@@ -423,9 +412,9 @@ def _subset_blocks(population: int, size: int, rows: int) -> Iterator[np.ndarray
                 if not filled:
                     chunk = np.empty((min(rows, remaining), size), np.intp)
                 stop = min(start + len(chunk) - filled, total)
-                expand(piece[0], ends, start, stop, size - 1, chunk[filled : filled + stop - start])
-                filled += stop - start
-                start = stop
+                end = filled + stop - start
+                expand(piece[0], ends, start, stop, size - 1, chunk[filled:end])
+                filled, start = end, stop
                 if filled == len(chunk):
                     yield chunk
                     remaining -= filled

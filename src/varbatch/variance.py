@@ -8,12 +8,11 @@ oracles for those formulas at small scale; a Monte Carlo estimator covers
 populations past the enumeration cap.
 
 The oracles read the batch space in the order of
-:func:`~varbatch.sampling.enumerate_batches`, but as flat index chunks
-rather than ``Batch`` objects: the chunks are built in numpy a column at a
-time, each an ``(m, N_S)`` index array holding at most ``_CHUNK_INDICES``
-indices, so memory stays bounded whatever the size of the batch space. Each batch is weighted by its exact
-:func:`~varbatch.sampling.batch_probability`, computed once per call without
-replacement and once per pattern of runs with it, and the weighted terms are
+:func:`~varbatch.sampling.enumerate_batches`, but as numpy index chunks
+rather than ``Batch`` objects: ``(m, N_S)`` arrays of at most
+``_CHUNK_INDICES`` indices, so memory stays bounded whatever the size of the
+batch space. Each batch is weighted by its exact
+:func:`~varbatch.sampling.batch_probability`, and the weighted terms are
 added one at a time in enumeration order, so a result is bit-identical to a
 per-batch Python loop over the same batches.
 
@@ -93,14 +92,9 @@ def analytic_variance(
 def _weighted_chunks(n_components: int, batch_size: int, scheme: Scheme, cap):
     """The batch space as ``(idx, weights)`` chunks, in enumeration order.
 
-    ``idx`` is an ``(m, batch_size)`` index array of consecutive batches
-    from :func:`~varbatch.sampling._subset_blocks`, with m =
-    ``max(1, _CHUNK_INDICES // batch_size)`` in every chunk but a shorter
-    last one. ``weights[i]`` is the exact
-    :func:`~varbatch.sampling.batch_probability` of row i. Without
-    replacement it is one value. With replacement it depends only on the
-    columns where a row's runs of equal indices start, so it is computed
-    once per distinct such pattern (:func:`_run_keys`) and call. The cap is
+    ``idx`` holds m = ``max(1, _CHUNK_INDICES // batch_size)`` consecutive
+    batches, fewer in the last chunk; ``weights[i]`` is the exact
+    :func:`~varbatch.sampling.batch_probability` of row i. The cap is
     checked at the call, before any chunk is built.
     """
     population = _subset_population(n_components, batch_size, scheme, cap)
@@ -111,6 +105,8 @@ def _weighted_chunks(n_components: int, batch_size: int, scheme: Scheme, cap):
         weight = _index_probability(range(batch_size), scheme, n_components)
         return ((idx, np.full(len(idx), weight)) for idx in chunks)
     offsets = np.arange(batch_size)
+    # A multiset's probability depends only on the columns where its runs of
+    # equal indices start, so it is computed once per such pattern and call.
     by_key: dict = {}
 
     def weigh(idx: np.ndarray) -> tuple:
@@ -137,13 +133,10 @@ _RUN_BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
 
 def _run_keys(idx: np.ndarray) -> np.ndarray:
-    """One key per sorted row of ``idx``, equal exactly when its runs start alike.
-
-    The flags come from one comparison of neighbours over the flattened
-    chunk; column 0, which always starts a run, is left out. Up to 64 flags
-    pack into a ``uint64`` by one matmul, more into a ``packbits`` byte
-    string, which takes about four times as long to build and sort.
-    """
+    """One key per sorted row of ``idx``, equal exactly when its runs start alike."""
+    # Column 0 always starts a run and is left out. Up to 64 flags pack into
+    # a uint64 by one matmul; a packbits byte string, needed beyond, takes
+    # about four times as long to build and sort.
     flat = idx.ravel()
     starts = np.empty(flat.size, bool)
     np.not_equal(flat[1:], flat[:-1], out=starts[1:])
@@ -155,11 +148,8 @@ def _run_keys(idx: np.ndarray) -> np.ndarray:
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of ``keys``: one sort and one comparison of neighbours.
-
-    ``np.unique`` does the same with more fixed cost per call, which
-    ``verify`` pays once per cell.
-    """
+    """The sorted distinct values of ``keys``."""
+    # np.unique does the same with more fixed cost, which verify pays per cell.
     ordered = np.sort(keys)
     first = np.empty(len(ordered), bool)
     first[0] = True
@@ -168,11 +158,7 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
 
 
 def _add_in_order(total: float, terms: np.ndarray) -> float:
-    """``total + terms[0] + terms[1] + ...``, rounded after each addition.
-
-    ``terms`` is a fresh array and is overwritten: ``total`` goes into its
-    first entry, and a running sum does the rest in order.
-    """
+    """``total + terms[0] + terms[1] + ...``, rounded after each addition; overwrites ``terms``."""
     terms[0] += total
     return float(np.add.accumulate(terms)[-1])
 
