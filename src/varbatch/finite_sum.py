@@ -7,13 +7,15 @@ analytic gradients written as numpy formulas over the rows of their data, and
 delimited-text datasets are read from disk in one pass by numpy's C parser,
 whose cells are ASCII decimal floats.
 
-Component indices are integer arrays or slices. The built-in formulas, and
-the enumeration oracles in :mod:`~varbatch.variance`, gather data rows
-through one helper: a slice is a view, and an index array goes through
-``ndarray.take`` along the rows, which gives the bytes of fancy indexing
-``data[indices]`` in less time (on a (1e6, 10) array and a 2-vCPU x86 VM,
-6 against 20 us at 760 rows and 0.32 against 0.65 ms at 20,000 rows).
-Data matrices are held in C order.
+Component indices are integer arrays or slices. A built-in problem holds its
+data as one C-ordered (N, d + 1) float table, row i being a_i followed by its
+target or label, and writes its gradient as a per-row scale times the
+features, g_i(x) = s_i(x) * a_i. An evaluation gathers the table rows once,
+through the helper the enumeration oracles in :mod:`~varbatch.variance` also
+use: a slice is a view, and an index array goes through ``ndarray.take``
+along the rows, which gives the bytes of fancy indexing ``table[indices]``
+in less time. Batch and full-gradient means come from the gathered rows and
+scales by one row-weighted mean, without building the (k, d) gradient block.
 """
 from __future__ import annotations
 
@@ -44,7 +46,8 @@ class FiniteSumProblem:
     Evaluators must be pure functions of ``(i, x)``: the same arguments yield
     bit-identical results. Instances are immutable and safe to share across
     threads. Every aggregate reads the components through :meth:`gradients`
-    and :meth:`values`.
+    and :meth:`values`, or, for a built-in problem, the gathered rows and
+    gradient scales that :meth:`gradients` multiplies.
     """
 
     dim: int
@@ -76,10 +79,20 @@ class FiniteSumProblem:
         """Component values at ``x``, one entry per index: a new (k,) array."""
         return self._evaluate(self.component_value, indices, x)
 
+    def _scaled_rows(self, indices, x: np.ndarray):
+        """``(rows, s)`` with ``gradients(indices, x)`` equal to ``rows * s[:, None]``.
+
+        For a built-in problem, ``rows`` are its gathered feature rows, a
+        view of one ``take`` of its table, and ``s`` the per-row gradient
+        scales; None for a problem of per-component callables.
+        """
+        gradient = self.component_gradient
+        if isinstance(gradient, _RowFormula) and gradient.scaled is not None:
+            return _guarded(gradient.scaled, indices, x)
+        return None
+
     def _evaluate(self, evaluate, indices, x: np.ndarray, *row_shape) -> np.ndarray:
-        if not isinstance(indices, slice):
-            indices = _index_array(indices)
-        try:
+        def batched(indices, x):
             if isinstance(evaluate, _RowFormula):
                 rows = evaluate.rows(indices, x)
             else:
@@ -93,8 +106,18 @@ class FiniteSumProblem:
                     selected = [population[i] for i in indices.tolist()]
                 rows = np.array([evaluate(i, x) for i in selected], dtype=float)
             return rows.reshape(len(rows), *row_shape)  # raises on a wrong size
-        except Exception as exc:
-            raise EvaluationError(f"{type(exc).__name__}: {exc}") from exc
+
+        return _guarded(batched, indices, x)
+
+
+def _guarded(batched, indices, x: np.ndarray):
+    """``batched(indices, x)`` on checked indices; any failure raises :class:`EvaluationError`."""
+    if not isinstance(indices, slice):
+        indices = _index_array(indices)
+    try:
+        return batched(indices, x)
+    except Exception as exc:
+        raise EvaluationError(f"{type(exc).__name__}: {exc}") from exc
 
 
 # Every component, in index order. A basic slice, so the built-in formulas
@@ -135,10 +158,13 @@ class _RowFormula:
     """Numpy formula over the components ``indices`` of a built-in problem.
 
     Calling it with one index is the per-component evaluator, so the single
-    and the batched evaluations share one formula and one index rule.
+    and the batched evaluations share one formula and one index rule. A
+    built-in gradient also has ``scaled``, which gives the gathered feature
+    rows and per-row scales it multiplies (see ``_scaled_rows``).
     """
 
     rows: Callable[[object, np.ndarray], np.ndarray]
+    scaled: Callable[[object, np.ndarray], tuple] | None = None
 
     def __call__(self, i: int, x: np.ndarray):
         return self.rows(_index_array([i]), x)[0]
@@ -180,13 +206,40 @@ def _batch_mean(block: np.ndarray) -> np.ndarray:
     return _batch_sum(block) / block.shape[-2]
 
 
+def _weighted_mean(rows: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``(rows * s[..., None]).mean(axis=-2)``, bit for bit, without the block.
+
+    ``einsum`` adds the products ``s_i * rows[i]`` one row at a time in
+    index order, as numpy's mean does with two or more entries per row;
+    with one entry numpy sums pairwise, and that case keeps its own sum.
+    ``rows`` may be a strided view, such as a table's feature columns.
+    """
+    if rows.shape[-1] == 1:
+        return (rows * s[..., None]).sum(axis=-2) / rows.shape[-2]
+    return np.einsum("...ij,...i->...j", rows, s) / rows.shape[-2]
+
+
+def _gradient_mean(problem: FiniteSumProblem, indices, x: np.ndarray, shape=(-1,)) -> np.ndarray:
+    """``gradients(indices, x).reshape(*shape, d).mean(axis=-2)``, bit for bit.
+
+    A built-in problem takes it from one gather of its table and
+    :func:`_weighted_mean`, without building the gradient block; ``shape``
+    splits the gathered rows into batches.
+    """
+    scaled = problem._scaled_rows(indices, x)
+    if scaled is None:
+        return _batch_mean(problem.gradients(indices, x).reshape(*shape, problem.dim))
+    rows, s = scaled
+    return _weighted_mean(rows.reshape(*shape, problem.dim), s.reshape(shape))
+
+
 def full_gradient(problem: FiniteSumProblem, x) -> np.ndarray:
     """Average of all component gradients.
 
     Shares its reduction with :func:`batch_gradient`, so a whole-population
     batch reproduces it bit for bit.
     """
-    return _batch_mean(problem.gradients(_ALL, _as_point(problem, x)))
+    return _gradient_mean(problem, _ALL, _as_point(problem, x))
 
 
 def batch_gradient(problem: FiniteSumProblem, x, batch: Batch) -> np.ndarray:
@@ -203,7 +256,7 @@ def batch_gradient(problem: FiniteSumProblem, x, batch: Batch) -> np.ndarray:
             f"batch index {indices[-1]} out of range for "
             f"{problem.n_components} components"
         )
-    return _batch_mean(problem.gradients(indices, x))
+    return _gradient_mean(problem, indices, x)
 
 
 def gradient_stats(problem: FiniteSumProblem, x) -> GradientStats:
@@ -213,7 +266,16 @@ def gradient_stats(problem: FiniteSumProblem, x) -> GradientStats:
     not N-1). The gradient block is centred in place, so only one (N, d)
     array is held.
     """
-    grads = problem.gradients(_ALL, _as_point(problem, x))
+    x = _as_point(problem, x)
+    scaled = problem._scaled_rows(_ALL, x)
+    if scaled is None:
+        grads = problem.gradients(_ALL, x)
+    else:
+        # The gradient block by einsum, faster than a multiply over the
+        # table's strided feature columns. It adds each product into a
+        # zeroed output, so a -0.0 product comes out +0.0: the mean and the
+        # sum of squares below do not see the sign of a zero.
+        grads = np.einsum("ij,i->ij", *scaled)
     mean = _batch_mean(grads)
     grads -= mean
     return GradientStats(mean, float(np.vdot(grads, grads)) / problem.n_components)
@@ -234,15 +296,22 @@ def objective_value(problem: FiniteSumProblem, x) -> float:
     return float(problem.values(_ALL, _as_point(problem, x)).mean())
 
 
-def _data(matrix, column, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Float copies of an N x d data matrix and its length-N ``name`` column.
+# Rows per block of the table build (about 360 kB of table at d = 10): a
+# block's rows are still cached when its target column is written.
+_BUILD_ROWS = 4096
 
-    The matrix copy is C-ordered (row-major) whatever the input's order, so
-    a problem built from a transposed or Fortran-ordered array evaluates the
-    same rows, and gives the same bytes, as one built from a C-ordered copy.
+
+def _data(matrix, column, name: str) -> np.ndarray:
+    """The (N, d + 1) float table of an N x d data matrix and its ``name`` column.
+
+    Row i holds a_i, then its target or label. The table is C-ordered
+    whatever the input's order, so a problem built from a transposed or
+    Fortran-ordered array evaluates the same rows, and gives the same bytes,
+    as one built from a C-ordered copy. It is filled in blocks of rows,
+    converting as it copies, so no second N x d array is made.
     """
-    A = np.array(matrix, dtype=float, order="C")
-    y = np.array(column, dtype=float)
+    A = np.asarray(matrix)
+    y = np.asarray(column, dtype=float)
     if A.ndim != 2:
         raise ValueError("matrix must be two-dimensional (N rows, d columns)")
     if A.shape[0] < 1 or A.shape[1] < 1:
@@ -251,7 +320,42 @@ def _data(matrix, column, name: str) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"{name} have shape {y.shape}, expected ({A.shape[0]},) to match the matrix"
         )
-    return A, y
+    n, d = A.shape
+    table = np.empty((n, d + 1))
+    for start in range(0, n, _BUILD_ROWS):
+        block = slice(start, start + _BUILD_ROWS)
+        table[block, :d] = A[block]
+        table[block, d] = y[block]
+    return table
+
+
+def _table_problem(table: np.ndarray, value, scale, label: str) -> FiniteSumProblem:
+    """Problem over the rows of an (N, d + 1) table, with g_i(x) = s_i(x) * a_i.
+
+    ``value(features, column, x)`` and ``scale(features, column, x)`` map
+    gathered table rows, split into features and last column, to the
+    component values and the per-row gradient scales s_i.
+    """
+    n, d = table.shape[0], table.shape[1] - 1
+
+    def split(indices):
+        rows = _rows(table, indices)
+        return rows[:, :d], rows[:, d]
+
+    def values(indices, x: np.ndarray) -> np.ndarray:
+        return value(*split(indices), x)
+
+    def scaled(indices, x: np.ndarray):
+        features, column = split(indices)
+        return features, scale(features, column, x)
+
+    def gradients(indices, x: np.ndarray) -> np.ndarray:
+        features, s = scaled(indices, x)
+        return features * s[:, None]
+
+    return FiniteSumProblem(
+        d, n, _RowFormula(values), _RowFormula(gradients, scaled), label=f"{label}(N={n}, d={d})"
+    )
 
 
 def make_least_squares(matrix, targets) -> FiniteSumProblem:
@@ -260,21 +364,15 @@ def make_least_squares(matrix, targets) -> FiniteSumProblem:
     ``matrix`` is N x d (one row per component), ``targets`` length N. The
     analytic component gradient is a_i * (a_i @ x - b_i).
     """
-    A, b = _data(matrix, targets, "targets")
-    n, d = A.shape
 
-    def values(indices, x: np.ndarray) -> np.ndarray:
-        residual = _rows(A, indices) @ x - b[indices]
-        return 0.5 * residual * residual
+    def residual(rows, b, x: np.ndarray) -> np.ndarray:
+        return rows @ x - b
 
-    def gradients(indices, x: np.ndarray) -> np.ndarray:
-        rows = _rows(A, indices)
-        return rows * (rows @ x - b[indices])[:, None]
+    def value(rows, b, x: np.ndarray) -> np.ndarray:
+        r = residual(rows, b, x)
+        return 0.5 * r * r
 
-    return FiniteSumProblem(
-        d, n, _RowFormula(values), _RowFormula(gradients),
-        label=f"least-squares(N={n}, d={d})",
-    )
+    return _table_problem(_data(matrix, targets, "targets"), value, residual, "least-squares")
 
 
 def make_logistic(matrix, labels) -> FiniteSumProblem:
@@ -283,9 +381,8 @@ def make_logistic(matrix, labels) -> FiniteSumProblem:
     Labels must be -1 or +1. Value and gradient use the numerically stable
     branches for large positive/negative margins.
     """
-    A, y = _data(matrix, labels, "labels")
-    n, d = A.shape
-    if not np.all(np.isin(y, (-1.0, 1.0))):
+    table = _data(matrix, labels, "labels")
+    if not np.all(np.isin(table[:, -1], (-1.0, 1.0))):
         raise ValueError("logistic labels must all be -1 or +1")
 
     def margins(rows, labels, x: np.ndarray):
@@ -293,20 +390,16 @@ def make_logistic(matrix, labels) -> FiniteSumProblem:
         margin = labels * (rows @ x)
         return margin, np.exp(-np.abs(margin))
 
-    def values(indices, x: np.ndarray) -> np.ndarray:
-        margin, e = margins(_rows(A, indices), y[indices], x)
+    def value(rows, labels, x: np.ndarray) -> np.ndarray:
+        margin, e = margins(rows, labels, x)
         return np.where(margin > 0, 0.0, -margin) + np.log1p(e)
 
-    def gradients(indices, x: np.ndarray) -> np.ndarray:
-        rows, labels = _rows(A, indices), y[indices]
+    def scale(rows, labels, x: np.ndarray) -> np.ndarray:
         margin, e = margins(rows, labels, x)
         slope = np.where(margin > 0, e, 1.0) / (1.0 + e)
-        return (-labels * slope)[:, None] * rows
+        return -labels * slope
 
-    return FiniteSumProblem(
-        d, n, _RowFormula(values), _RowFormula(gradients),
-        label=f"logistic(N={n}, d={d})",
-    )
+    return _table_problem(table, value, scale, "logistic")
 
 
 def load_dataset(path) -> tuple[np.ndarray, np.ndarray]:

@@ -30,6 +30,7 @@ from .finite_sum import (
     _as_point,
     _batch_mean,
     _batch_sum,
+    _gradient_mean,
     _rows,
     full_gradient,
     gradient_matrix,
@@ -199,9 +200,9 @@ def empirical_batch_variance(
 
     Batches are drawn one at a time, so the draws and the generator stream
     are those of repeated sampler calls, but evaluated in chunks: the drawn
-    batches' index arrays are joined, one gradient call per chunk of at most
-    ``_CHUNK_INDICES`` indices, and the batch means are taken over the
-    ``(m, N_S, d)`` block in index order.
+    batches' index arrays are joined, one gather per chunk of at most
+    ``_CHUNK_INDICES`` indices, and the m batch means are taken over the
+    ``(m, N_S)`` rows in index order, as ``batch_gradient`` takes one.
     """
     if draws < 2:
         raise ValueError("need at least two draws")
@@ -218,8 +219,7 @@ def empirical_batch_variance(
         idx = np.concatenate(
             [sample(rng, problem.n_components, batch_size).array for _ in range(m)]
         )
-        grads = problem.gradients(idx, x).reshape(m, batch_size, problem.dim)
-        dev = _batch_mean(grads) - center
+        dev = _gradient_mean(problem, idx, x, (m, batch_size)) - center
         total = _add_in_order(total, np.vecdot(dev, dev))
     return total / draws
 

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import os
+import random
 import re
 import subprocess
 import sys
@@ -92,6 +93,41 @@ def test_verify_csv_is_byte_stable(tmp_path):
     assert main(["verify", "--n-max", "10", "--seed", "0", "--out", str(tmp_path)]) == 0
     digest = hashlib.sha256(read_bytes(tmp_path / "verify.csv")).hexdigest()
     assert digest == "7838a754f63cc6856f765fd373afb43b29f78b27e6eca3f3b15183bf439535fa"
+
+
+# train.csv digests of seeded d = 2 runs. At d <= 2 a row product does not
+# depend on how the BLAS blocks the rows, so these hold across BLAS kernels;
+# any change to the gradient formulas, their reductions, the samplers or the
+# CSV format changes them.
+TRAIN_CSV_DIGESTS = {
+    ("dataset", "without"):
+        "63b02704d9aefb28702563bd657d83895e6dc1bb6e720dc46341f4bdf08bfa40",
+    ("dataset", "with"):
+        "6ad13add2b5c60d817fcb0e1a24ff042a3a6b7d647e490e74116579377331dd3",
+    ("logistic", "without"):
+        "7ea3e3714522d07400749ad4c6f5ad94a46d79de051860d8a1c566b57bd421b8",
+    ("logistic", "with"):
+        "119315bdfed32344feedfd3fdebdba77484a1c94ae9fe34c6c84c8b954eb6e9e",
+}
+
+
+@pytest.mark.parametrize("problem, scheme", sorted(TRAIN_CSV_DIGESTS))
+def test_train_csv_is_byte_stable(tmp_path, problem, scheme):
+    source = problem
+    if problem == "dataset":
+        gen = random.Random(31)
+        lines = []
+        for _ in range(400):
+            a, b = gen.gauss(0.0, 1.0), gen.gauss(0.0, 1.0)
+            lines.append(f"{a!r},{b!r},{1.5 * a - 2.0 * b + gen.gauss(0.0, 0.5)!r}\n")
+        source = tmp_path / "data.csv"
+        source.write_text("".join(lines))
+    rc = main(["train", "--problem", str(source), "--scheme", scheme, "--C", "2",
+               "--rho", "0.8", "--alpha", "0.2", "--tol", "1e-6", "--max-iters", "40",
+               "--seed", "7", "--out", str(tmp_path)])
+    assert rc == 0
+    digest = hashlib.sha256(read_bytes(tmp_path / "train.csv")).hexdigest()
+    assert digest == TRAIN_CSV_DIGESTS[problem, scheme]
 
 
 def test_verify_failure_exit_code(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,6 +207,62 @@ def test_take_gather_matches_fancy_index_formulas(d):
                 got = getattr(problem, name)(indices, x)
                 expected = getattr(reference, name)(indices, x)
                 assert got.tobytes() == expected.tobytes()
+            batch = make_batch(indices % n, Scheme.WITH_REPLACEMENT)
+            got, expected = (batch_gradient(p, x, batch) for p in (problem, reference))
+            assert got.tobytes() == expected.tobytes()
+        _assert_aggregates_equal_bytes(problem, reference, x)
+
+
+def _assert_aggregates_equal_bytes(problem, reference, x):
+    for aggregate in (full_gradient, objective_value):
+        got, expected = aggregate(problem, x), aggregate(reference, x)
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+    got, expected = gradient_stats(problem, x), gradient_stats(reference, x)
+    assert got.full_gradient.tobytes() == expected.full_gradient.tobytes()
+    assert got.component_variance.hex() == expected.component_variance.hex()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_signed_zero_gradients_keep_their_bytes(d):
+    # Negative features at an exact fit (every residual +0.0), and logistic
+    # margins of +-800, whose slopes underflow to 0.0: gradient entries of
+    # -0.0, which a block built by einsum would turn into +0.0.
+    matrix = -np.abs(_random_data(6, d, seed=d)[0])
+    x = np.ones(d)
+    edge = np.vstack([np.ones(d), -np.ones(d)])
+    for problem, reference, point in (
+        (make_least_squares(matrix, matrix @ x), fancy_index_least_squares(matrix, matrix @ x), x),
+        (make_logistic(edge, np.ones(2)), fancy_index_logistic(edge, np.ones(2)), 800.0 * x),
+    ):
+        grads = gradient_matrix(problem, point)
+        assert np.signbit(grads[grads == 0.0]).any()
+        assert grads.tobytes() == gradient_matrix(reference, point).tobytes()
+        _assert_aggregates_equal_bytes(problem, reference, point)
+
+
+@pytest.mark.parametrize("maker", [make_least_squares, make_logistic])
+def test_built_in_problem_holds_one_table(maker):
+    # The table is N x (d + 1) floats; a build that copied the matrix first
+    # would peak N * d * 8 bytes higher. The slack is O(N): the label check.
+    n, d = 10**5, 10
+    matrix, targets, labels = _random_data(n, d, seed=5)
+    column = targets if maker is make_least_squares else labels
+    tracemalloc.start()
+    try:
+        problem = maker(matrix, column)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= n * (d + 1) * 8 + 16 * n
+    x = np.linspace(-1.0, 1.0, d)
+    batch = make_batch(range(0, n, 7), Scheme.WITHOUT_REPLACEMENT)
+    before = gradient_stats(problem, x), batch_gradient(problem, x, batch)
+    matrix[:] = 1.0
+    column[:] = 1.0
+    after = gradient_stats(problem, x), batch_gradient(problem, x, batch)
+    assert before[0].full_gradient.tobytes() == after[0].full_gradient.tobytes()
+    assert before[0].component_variance == after[0].component_variance
+    assert before[1].tobytes() == after[1].tobytes()
 
 
 def test_built_in_out_of_range_names_index_error(ls5):

@@ -1,5 +1,5 @@
 """Property checks of the size rules' defining inequalities, the samplers, the
-batch-mean primitive and the dataset parser.
+batch-mean primitives and the dataset parser.
 
 Examples are derandomized and no example database is kept, so the suite
 stays deterministic.
@@ -28,7 +28,7 @@ from varbatch import (
     sample_with_replacement,
     sample_without_replacement,
 )
-from varbatch.finite_sum import _batch_mean, _batch_sum
+from varbatch.finite_sum import _batch_mean, _batch_sum, _weighted_mean
 from varbatch.sampling import _fisher_yates_batch
 
 # Ceilings snap values within 1e-9 (relative) of an integer.
@@ -210,3 +210,39 @@ def test_batch_mean_matches_numpy_bit_for_bit(block):
     axis = block.ndim - 2
     assert _batch_sum(block).tobytes() == block.sum(axis=axis).tobytes()
     assert _batch_mean(block).tobytes() == block.mean(axis=axis).tobytes()
+
+
+@st.composite
+def _table_rows(draw):
+    """Feature rows gathered from an (N, d + 1) table, and per-row scales.
+
+    The rows are a strided view, as a built-in problem's gather gives them:
+    (k, d) for a batch, (m, k, d) for m Monte Carlo batches. Row values are
+    standard normal; the scales have one magnitude from 1e-150 to 1e150 and
+    mixed signs, and a drawn share of the rows (none, some or all) is all
+    0.0 or all -0.0.
+    """
+    d, k = draw(st.integers(1, 64)), draw(st.integers(1, 2000))
+    batches = draw(st.sampled_from([(), (1,), (3,)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    table = rng.standard_normal((k + 50, d + 1))
+    zero_rows = rng.random(len(table)) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    table[zero_rows] = draw(st.sampled_from([0.0, -0.0]))
+    indices = rng.integers(0, len(table), (*batches, k))
+    s = rng.standard_normal(indices.shape) * 10.0 ** draw(st.integers(-150, 150))
+    return table.take(indices, axis=0)[..., :d], s
+
+
+# Half the examples of the others: the largest draws hold about 4 * 10**5 entries.
+@settings(examples, max_examples=75)
+@given(drawn=_table_rows())
+@example(drawn=(np.full((4, 3), -0.0)[:, :2], np.ones(4)))
+@example(drawn=(np.linspace(0.1, 3.7, 74).reshape(37, 2)[:, :1], np.linspace(-2.0, 5.0, 37)))
+def test_weighted_mean_matches_numpy_bit_for_bit(drawn):
+    rows, s = drawn
+    block = rows * s[..., None]
+    assert _weighted_mean(rows, s).tobytes() == block.mean(axis=-2).tobytes()
+    # gradient_stats builds its block with einsum, which adds each product to
+    # a zeroed output: the same bytes once a -0.0 is read as +0.0.
+    einsum_block = np.einsum("...ij,...i->...ij", rows, s)
+    assert (einsum_block + 0.0).tobytes() == (block + 0.0).tobytes()
