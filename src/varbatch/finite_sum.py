@@ -7,15 +7,15 @@ analytic gradients written as numpy formulas over the rows of their data, and
 delimited-text datasets are read from disk in one pass by numpy's C parser,
 whose cells are ASCII decimal floats.
 
-Component indices are integer arrays or slices. A built-in problem holds its
-data as one C-ordered (N, d + 1) float table, row i being a_i followed by its
-target or label, and writes its gradient as a per-row scale times the
-features, g_i(x) = s_i(x) * a_i. An evaluation gathers the table rows once,
-through the helper the enumeration oracles in :mod:`~varbatch.variance` also
-use: a slice is a view, and an index array goes through ``ndarray.take``
-along the rows, which gives the bytes of fancy indexing ``table[indices]``
-in less time. Batch and full-gradient means come from the gathered rows and
-scales by one row-weighted mean, without building the (k, d) gradient block.
+Component indices are integer arrays or slices. Every gradient aggregate
+reads one primitive, ``FiniteSumProblem._gradient_rows``, and adds rows with
+one reduction, ``_row_sum``. A built-in problem holds its data as one
+C-ordered (N, d + 1) float table, row i being a_i followed by its target or
+label, and its gradient is a per-row scale times the features,
+g_i(x) = s_i(x) * a_i, so the primitive gives one gather of feature rows and
+their scales, and means need no (k, d) gradient block. The gather is the
+enumeration oracles' helper: a slice is a view, and an index array goes
+through ``ndarray.take``, the bytes of ``table[indices]`` in less time.
 """
 from __future__ import annotations
 
@@ -45,9 +45,9 @@ class FiniteSumProblem:
 
     Evaluators must be pure functions of ``(i, x)``: the same arguments yield
     bit-identical results. Instances are immutable and safe to share across
-    threads. Every aggregate reads the components through :meth:`gradients`
-    and :meth:`values`, or, for a built-in problem, the gathered rows and
-    gradient scales that :meth:`gradients` multiplies.
+    threads. Every gradient aggregate, :meth:`gradients` included, reads the
+    components through ``_gradient_rows``; objective values go through
+    :meth:`values`.
     """
 
     dim: int
@@ -73,23 +73,26 @@ class FiniteSumProblem:
         ``ndarray.take``. Evaluator failures, and an index past either end,
         raise :class:`EvaluationError` chained to the original error.
         """
-        return self._evaluate(self.component_gradient, indices, x, self.dim)
+        rows, s = self._gradient_rows(indices, x)
+        # A multiply, not einsum, which would turn a -0.0 product into +0.0.
+        return rows if s is None else rows * s[:, None]
 
     def values(self, indices, x: np.ndarray) -> np.ndarray:
         """Component values at ``x``, one entry per index: a new (k,) array."""
         return self._evaluate(self.component_value, indices, x)
 
-    def _scaled_rows(self, indices, x: np.ndarray):
-        """``(rows, s)`` with ``gradients(indices, x)`` equal to ``rows * s[:, None]``.
+    def _gradient_rows(self, indices, x: np.ndarray):
+        """``(rows, s)``: component gradients at ``x`` as rows and per-row scales.
 
         For a built-in problem, ``rows`` are its gathered feature rows, a
         view of one ``take`` of its table, and ``s`` the per-row gradient
-        scales; None for a problem of per-component callables.
+        scales, g_i = s_i * a_i. For per-component callables, ``rows`` is
+        the new (k, d) gradient block and ``s`` is None.
         """
         gradient = self.component_gradient
-        if isinstance(gradient, _RowFormula) and gradient.scaled is not None:
-            return _guarded(gradient.scaled, indices, x)
-        return None
+        if isinstance(gradient, _RowFormula) and gradient.scaled:
+            return _guarded(gradient.rows, indices, x)
+        return self._evaluate(gradient, indices, x, self.dim), None
 
     def _evaluate(self, evaluate, indices, x: np.ndarray, *row_shape) -> np.ndarray:
         def batched(indices, x):
@@ -159,15 +162,19 @@ class _RowFormula:
 
     Calling it with one index is the per-component evaluator, so the single
     and the batched evaluations share one formula and one index rule. A
-    built-in gradient also has ``scaled``, which gives the gathered feature
-    rows and per-row scales it multiplies (see ``_scaled_rows``).
+    ``scaled`` formula, a built-in gradient, returns the gathered feature
+    rows and per-row scales that its one-index call multiplies.
     """
 
-    rows: Callable[[object, np.ndarray], np.ndarray]
-    scaled: Callable[[object, np.ndarray], tuple] | None = None
+    rows: Callable[[object, np.ndarray], object]
+    scaled: bool = False
 
     def __call__(self, i: int, x: np.ndarray):
-        return self.rows(_index_array([i]), x)[0]
+        rows = self.rows(_index_array([i]), x)
+        if self.scaled:
+            features, s = rows
+            return features[0] * s[0]
+        return rows[0]
 
 
 @dataclass(frozen=True)
@@ -187,50 +194,30 @@ def _as_point(problem: FiniteSumProblem, x) -> np.ndarray:
     return arr
 
 
-def _batch_sum(block: np.ndarray) -> np.ndarray:
-    """Sum of a C-contiguous block over its batch axis, the second to last.
+def _row_sum(rows: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
+    """``(rows * s[..., None]).sum(axis=-2)``, or ``rows.sum(axis=-2)``, bit for bit.
 
-    The rows are added one at a time in index order, which is what numpy's
-    ``block.sum(axis=-2)`` does when rows hold two or more entries, so the
-    two agree bit for bit; ``einsum`` does it with less overhead per row.
-    With one entry per row numpy sums the column pairwise instead, and that
-    case keeps numpy's own sum.
-    """
-    if block.shape[-1] == 1:
-        return block.sum(axis=-2)
-    return np.einsum("...ij->...j", block)
-
-
-def _batch_mean(block: np.ndarray) -> np.ndarray:
-    """Mean over the batch axis: ``block.mean(axis=-2)``, bit for bit, from :func:`_batch_sum`."""
-    return _batch_sum(block) / block.shape[-2]
-
-
-def _weighted_mean(rows: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """``(rows * s[..., None]).mean(axis=-2)``, bit for bit, without the block.
-
-    ``einsum`` adds the products ``s_i * rows[i]`` one row at a time in
-    index order, as numpy's mean does with two or more entries per row;
-    with one entry numpy sums pairwise, and that case keeps its own sum.
+    ``einsum`` adds the rows, or the products ``s_i * rows[i]``, one at a
+    time in index order, as numpy's sum does with two or more entries per
+    row, with less work per row and no block of products. With one entry
+    numpy sums the column pairwise, and that case keeps its own sum.
     ``rows`` may be a strided view, such as a table's feature columns.
     """
     if rows.shape[-1] == 1:
-        return (rows * s[..., None]).sum(axis=-2) / rows.shape[-2]
-    return np.einsum("...ij,...i->...j", rows, s) / rows.shape[-2]
+        return (rows if s is None else rows * s[..., None]).sum(axis=-2)
+    if s is None:
+        return np.einsum("...ij->...j", rows)
+    return np.einsum("...ij,...i->...j", rows, s)
 
 
 def _gradient_mean(problem: FiniteSumProblem, indices, x: np.ndarray, shape=(-1,)) -> np.ndarray:
     """``gradients(indices, x).reshape(*shape, d).mean(axis=-2)``, bit for bit.
 
-    A built-in problem takes it from one gather of its table and
-    :func:`_weighted_mean`, without building the gradient block; ``shape``
-    splits the gathered rows into batches.
+    ``shape`` splits the gathered rows into batches.
     """
-    scaled = problem._scaled_rows(indices, x)
-    if scaled is None:
-        return _batch_mean(problem.gradients(indices, x).reshape(*shape, problem.dim))
-    rows, s = scaled
-    return _weighted_mean(rows.reshape(*shape, problem.dim), s.reshape(shape))
+    rows, s = problem._gradient_rows(indices, x)
+    rows = rows.reshape(*shape, problem.dim)
+    return _row_sum(rows, None if s is None else s.reshape(shape)) / rows.shape[-2]
 
 
 def full_gradient(problem: FiniteSumProblem, x) -> np.ndarray:
@@ -267,16 +254,13 @@ def gradient_stats(problem: FiniteSumProblem, x) -> GradientStats:
     array is held.
     """
     x = _as_point(problem, x)
-    scaled = problem._scaled_rows(_ALL, x)
-    if scaled is None:
-        grads = problem.gradients(_ALL, x)
-    else:
-        # The gradient block by einsum, faster than a multiply over the
-        # table's strided feature columns. It adds each product into a
-        # zeroed output, so a -0.0 product comes out +0.0: the mean and the
-        # sum of squares below do not see the sign of a zero.
-        grads = np.einsum("ij,i->ij", *scaled)
-    mean = _batch_mean(grads)
+    rows, s = problem._gradient_rows(_ALL, x)
+    # The gradient block by einsum, faster than a multiply over the table's
+    # strided feature columns. It adds each product into a zeroed output, so
+    # a -0.0 product comes out +0.0: the mean and the sum of squares below do
+    # not see the sign of a zero.
+    grads = rows if s is None else np.einsum("ij,i->ij", rows, s)
+    mean = _row_sum(grads) / problem.n_components
     grads -= mean
     return GradientStats(mean, float(np.vdot(grads, grads)) / problem.n_components)
 
@@ -345,16 +329,13 @@ def _table_problem(table: np.ndarray, value, scale, label: str) -> FiniteSumProb
     def values(indices, x: np.ndarray) -> np.ndarray:
         return value(*split(indices), x)
 
-    def scaled(indices, x: np.ndarray):
+    def gradient_rows(indices, x: np.ndarray):
         features, column = split(indices)
         return features, scale(features, column, x)
 
-    def gradients(indices, x: np.ndarray) -> np.ndarray:
-        features, s = scaled(indices, x)
-        return features * s[:, None]
-
     return FiniteSumProblem(
-        d, n, _RowFormula(values), _RowFormula(gradients, scaled), label=f"{label}(N={n}, d={d})"
+        d, n, _RowFormula(values), _RowFormula(gradient_rows, scaled=True),
+        label=f"{label}(N={n}, d={d})",
     )
 
 

@@ -28,9 +28,8 @@ import numpy as np
 from .finite_sum import (
     FiniteSumProblem,
     _as_point,
-    _batch_mean,
-    _batch_sum,
     _gradient_mean,
+    _row_sum,
     _rows,
     full_gradient,
     gradient_matrix,
@@ -180,10 +179,10 @@ def exact_batch_variance(
     """
     chunks = _weighted_chunks(problem.n_components, batch_size, scheme, cap)
     grads = gradient_matrix(problem, x)
-    center = _batch_mean(grads)
+    center = _row_sum(grads) / len(grads)
     total = 0.0
     for idx, weights in chunks:
-        dev = _batch_mean(_rows(grads, idx)) - center
+        dev = _row_sum(_rows(grads, idx)) / batch_size - center
         total = _add_in_order(total, weights * np.vecdot(dev, dev))
     return total
 
@@ -212,7 +211,8 @@ def empirical_batch_variance(
         sample = sample_without_replacement
     x = _as_point(problem, x)
     center = full_gradient(problem, x)
-    rows = max(1, _CHUNK_INDICES // batch_size)
+    # A size below 1 reaches the sampler, which refuses it.
+    rows = max(1, _CHUNK_INDICES // max(1, batch_size))
     total = 0.0
     for start in range(0, draws, rows):
         m = min(rows, draws - start)
@@ -246,12 +246,12 @@ def average_batch_covariance(
         problem.n_components, batch_size, Scheme.WITHOUT_REPLACEMENT, cap
     )
     centered = gradient_matrix(problem, x)
-    centered -= _batch_mean(centered)
+    centered -= _row_sum(centered) / len(centered)
     pair_count = batch_size * (batch_size - 1)
     total = 0.0
     for idx, weights in chunks:
         rows = _rows(centered, idx)
-        row_sum = _batch_sum(rows)
-        pair_sum = np.vecdot(row_sum, row_sum) - (rows * rows).sum(axis=(1, 2))
+        batch_sum = _row_sum(rows)
+        pair_sum = np.vecdot(batch_sum, batch_sum) - (rows * rows).sum(axis=(1, 2))
         total = _add_in_order(total, weights * (pair_sum / pair_count))
     return total

@@ -1,9 +1,12 @@
 """Independent numeric oracles shared across the test suite."""
+import itertools
 import math
 from array import array
+from unittest.mock import patch
 
 import numpy as np
 
+import varbatch.optimizer as optimizer
 from varbatch import (
     Batch,
     DatasetFormatError,
@@ -14,6 +17,7 @@ from varbatch import (
     enumerate_batches,
     full_gradient,
     gradient_matrix,
+    run,
     sample_with_replacement,
     sample_without_replacement,
 )
@@ -149,6 +153,43 @@ def loop_empirical_batch_variance(problem, x, batch_size, scheme, draws, rng):
         dev = batch_gradient(problem, x, sample(rng, problem.n_components, batch_size)) - center
         total += float(dev @ dev)
     return total / draws
+
+
+def enumerate_run(problem, config):
+    """Every sampling path of ``run(problem, config)``, as (probability, record) pairs.
+
+    Without ``auto_cap`` the batch sizes follow from the schedule alone, so
+    one seeded run gives them, and the paths are the product of the sampled
+    iterations' batch spaces. Each path drives ``run`` itself, its batches
+    replayed through the sampler names ``optimizer`` calls, and weighs the
+    product of its batches' ``batch_probability``.
+    """
+    assert not config.auto_cap
+    n, scheme = problem.n_components, config.rule.scheme
+    sizes = [row.batch_size for row in run(problem, config).rows if row.batch_size < n]
+    spaces = [list(enumerate_batches(n, size, scheme)) for size in sizes]
+    path = iter(())
+
+    def sampler(own):
+        def replay(rng, n_components, batch_size):
+            batch = next(path)
+            assert (own, n_components, batch_size) == (scheme, n, batch.size)
+            return batch
+
+        return replay
+
+    outcomes = []
+    with (
+        patch.object(optimizer, "sample_with_replacement", sampler(Scheme.WITH_REPLACEMENT)),
+        patch.object(optimizer, "sample_without_replacement", sampler(Scheme.WITHOUT_REPLACEMENT)),
+    ):
+        for batches in itertools.product(*spaces):
+            path = iter(batches)
+            record = run(problem, config)
+            assert next(path, None) is None  # every batch of the path was drawn
+            probability = math.prod(batch_probability(batch, n) for batch in batches)
+            outcomes.append((probability, record))
+    return outcomes
 
 
 def tuple_batch_gradient(problem, x, batch):

@@ -20,6 +20,7 @@ from varbatch import (
     SeededRng,
     batch_gradient,
     component_gradient_variance,
+    empirical_batch_variance,
     full_gradient,
     gradient_matrix,
     gradient_stats,
@@ -220,6 +221,14 @@ def _assert_aggregates_equal_bytes(problem, reference, x):
     got, expected = gradient_stats(problem, x), gradient_stats(reference, x)
     assert got.full_gradient.tobytes() == expected.full_gradient.tobytes()
     assert got.component_variance.hex() == expected.component_variance.hex()
+    # Monte Carlo draws: one gather split into (m, k) batches.
+    size = max(1, problem.n_components // 2)
+    for scheme in Scheme:
+        got, expected = (
+            empirical_batch_variance(p, x, size, scheme, 50, SeededRng(3))
+            for p in (problem, reference)
+        )
+        assert got.hex() == expected.hex()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import varbatch.optimizer as optimizer
-from helpers import fancy_index_least_squares
+from helpers import enumerate_run, fancy_index_least_squares
 from varbatch import (
     BatchSizeRule,
     EpsilonSchedule,
@@ -212,6 +212,32 @@ def test_run_calls_samplers_and_stats_through_module_names(ls5, monkeypatch, sch
     expected["gradient_stats"] = len(rows)
     expected[f"sample_{scheme.name.lower()}"] = sampled
     assert {name: spy.call_count for name, spy in spies.items()} == expected
+
+
+@pytest.mark.parametrize(
+    "scheme, sizes, paths",
+    [(WITHOUT, [2, 3, 4, 4, 5], 2500), (Scheme.WITH_REPLACEMENT, [2, 4, 5, 5, 5], 1050)],
+)
+def test_run_mean_over_every_sampling_path_is_gradient_descent(ls5, scheme, sizes, paths):
+    # Least-squares gradients are affine, so an unbiased batch gradient keeps
+    # E[x_k] on the full-batch path at every k; a biased draw would leave it.
+    config = make_config(
+        5,
+        rule=BatchSizeRule(scheme, VarianceCap(2.0), 5),
+        epsilon_schedule=EpsilonSchedule.geometric(1.0, 0.5),
+        learning_rate=LearningRateSchedule.constant(0.3),
+        max_iters=5,
+        tolerance=0.0,
+    )
+    outcomes = enumerate_run(ls5, config)
+    assert len(outcomes) == paths
+    assert [row.batch_size for row in outcomes[0][1].rows] == sizes
+    assert abs(sum(p for p, _ in outcomes) - 1.0) <= 1e-13
+    x = np.zeros(1)
+    for _ in range(5):
+        x = x - 0.3 * full_gradient(ls5, x)
+    mean = sum(p * record.final_x for p, record in outcomes)
+    assert np.abs(mean - x).max() <= 1e-12
 
 
 @pytest.mark.parametrize("scheme", [WITHOUT, Scheme.WITH_REPLACEMENT])

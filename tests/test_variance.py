@@ -196,6 +196,14 @@ def test_empirical_variance_needs_two_draws(ls5):
 
 
 @pytest.mark.parametrize("scheme", [WITHOUT, WITH])
+def test_empirical_variance_refuses_batches_below_one(ls5, scheme):
+    # The sampler's own error, for 0 as for -1.
+    for size in (0, -1):
+        with pytest.raises(ValueError, match="batch size must be"):
+            empirical_batch_variance(ls5, X0, size, scheme, 2, SeededRng(0))
+
+
+@pytest.mark.parametrize("scheme", [WITHOUT, WITH])
 def test_analytic_variance_strictly_decreasing_in_batch_size(scheme):
     n = 12
     values = [analytic_variance(scheme, 5.0, n, size) for size in range(1, n + 1)]
