@@ -154,56 +154,59 @@ def run(problem: FiniteSumProblem, config: RunConfig) -> RunRecord:
     record = RunRecord(final_x=x)
     previous = rule.floor
     running_cap = rule.cap.value
-    for k in range(config.max_iters):
-        try:
-            eps_k = epsilon_at(config.epsilon_schedule, k)
-            alpha_k = learning_rate_at(config, k)
-            stats = gradient_stats(problem, x) if config.monitor_full_gradient else None
-            cap_override = None
-            if config.auto_cap:
-                # An overflowed measurement is no cap; the step check below ends
-                # such a run as diverged.
-                if math.isfinite(stats.component_variance):
-                    running_cap = max(running_cap, stats.component_variance)
-                cap_override = running_cap
-            size = next_batch_size(
-                rule, config.epsilon_schedule, k, previous, cap_override=cap_override
-            )
-            previous = size
-            if size == n:
-                gradient = stats.full_gradient if stats is not None else full_gradient(problem, x)
-            elif rule.scheme is Scheme.WITH_REPLACEMENT:
-                gradient = batch_gradient(problem, x, sample_with_replacement(rng, n, size))
-            else:
-                gradient = batch_gradient(problem, x, sample_without_replacement(rng, n, size))
-            row = IterationRow(
-                k=k,
-                epsilon=eps_k,
-                batch_size=size,
-                alpha=alpha_k,
-                batch_grad_norm=float(np.linalg.norm(gradient)),
-            )
-            monitored = row.batch_grad_norm
-            if stats is not None:
-                row.full_grad_norm = monitored = float(np.linalg.norm(stats.full_gradient))
-                row.objective = objective_value(problem, x)
-                row.component_variance = stats.component_variance
-                # At size N the step used the exact gradient: no sampling variance.
-                row.batch_gradient_variance = 0.0 if size == n else analytic_variance(
-                    rule.scheme, stats.component_variance, n, size
+    # A diverging run overflows in its monitoring before the step check
+    # below ends it; those values are logged as inf, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(config.max_iters):
+            try:
+                eps_k = epsilon_at(config.epsilon_schedule, k)
+                alpha_k = learning_rate_at(config, k)
+                stats = gradient_stats(problem, x) if config.monitor_full_gradient else None
+                cap_override = None
+                if config.auto_cap:
+                    # An overflowed measurement is no cap; the step check below
+                    # ends such a run as diverged.
+                    if math.isfinite(stats.component_variance):
+                        running_cap = max(running_cap, stats.component_variance)
+                    cap_override = running_cap
+                size = next_batch_size(
+                    rule, config.epsilon_schedule, k, previous, cap_override=cap_override
                 )
-            record.rows.append(row)
-            if monitored <= config.tolerance:
-                record.termination = "converged"
+                previous = size
+                if size == n:
+                    gradient = stats.full_gradient if stats is not None else full_gradient(problem, x)
+                elif rule.scheme is Scheme.WITH_REPLACEMENT:
+                    gradient = batch_gradient(problem, x, sample_with_replacement(rng, n, size))
+                else:
+                    gradient = batch_gradient(problem, x, sample_without_replacement(rng, n, size))
+                row = IterationRow(
+                    k=k,
+                    epsilon=eps_k,
+                    batch_size=size,
+                    alpha=alpha_k,
+                    batch_grad_norm=float(np.linalg.norm(gradient)),
+                )
+                monitored = row.batch_grad_norm
+                if stats is not None:
+                    row.full_grad_norm = monitored = float(np.linalg.norm(stats.full_gradient))
+                    row.objective = objective_value(problem, x)
+                    row.component_variance = stats.component_variance
+                    # At size N the step used the exact gradient: no sampling variance.
+                    row.batch_gradient_variance = 0.0 if size == n else analytic_variance(
+                        rule.scheme, stats.component_variance, n, size
+                    )
+                record.rows.append(row)
+                if monitored <= config.tolerance:
+                    record.termination = "converged"
+                    break
+                step = x - alpha_k * gradient
+                if not np.isfinite(step).all():
+                    record.termination = "diverged"
+                    break
+                x = step
+            except EvaluationError as exc:
+                record.termination = "error"
+                record.error = str(exc)  # names the original exception type
                 break
-            step = x - alpha_k * gradient
-            if not np.isfinite(step).all():
-                record.termination = "diverged"
-                break
-            x = step
-        except EvaluationError as exc:
-            record.termination = "error"
-            record.error = str(exc)  # names the original exception type
-            break
     record.final_x = x
     return record

@@ -8,7 +8,9 @@ its tuple of Python ints is built only when read. For small populations the
 full batch space can be enumerated together with each batch's exact
 probability; enumerated batches hold their tuples. The exact-expectation
 oracles in :mod:`varbatch.variance` read the same space, in the same order,
-as numpy index blocks (:func:`_subset_blocks`).
+as numpy index blocks whose rows are decoded from their int64 lexicographic
+ranks (:func:`_subset_blocks`), so they refuse a space of more than
+``(2**63 - 1) // M`` batches, M as in :func:`_subset_population`.
 """
 from __future__ import annotations
 
@@ -62,10 +64,14 @@ class SeededRng:
     the same batch loop-free, so batch streams are bit-identical whichever
     path a draw takes.
 
-    Instances own mutable generator state; use one per thread.
+    The seed is a nonnegative integer, a numpy one included; anything else
+    raises ``ValueError`` rather than being truncated. Instances own mutable
+    generator state; use one per thread.
     """
 
     def __init__(self, seed: int):
+        if not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
         self.seed = int(seed)
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
@@ -293,12 +299,16 @@ def count_batches(n_components: int, batch_size: int, scheme: Scheme) -> int:
 
 
 def _subset_population(
-    n_components: int, batch_size: int, scheme: Scheme, cap: int | None = None
+    n_components: int, batch_size: int, scheme: Scheme, cap: int | None = None, ranked=False
 ) -> int:
     """The M whose k-subsets the batch space maps onto, checked against ``cap`` if given.
 
     With replacement M = N + k - 1: ``a_j = b_j + j`` maps a canonical
-    multiset b of ``range(N)`` onto a k-subset a of ``range(M)``.
+    multiset b of ``range(N)`` onto a k-subset a of ``range(M)``. A
+    ``ranked`` space, read through :func:`_subset_blocks`, is also refused
+    above ``(2**63 - 1) // M`` batches, whatever the cap: its ranks are
+    int64, and the margin of M keeps a decode table row, M - k + 1 values,
+    below 2.7 million.
     """
     if n_components < 1:
         raise ValueError("population must contain at least one component")
@@ -312,6 +322,9 @@ def _subset_population(
         )
     else:
         population = n_components
+    reason, limit = "the enumeration cap", (2**63 - 1) // population
+    if ranked and (cap is None or cap > limit):
+        cap, reason = limit, "the most that int64 ranks can index"
     if cap is None:
         return population
     # C(M, k) multiplied up as C(M - j + i, i) for i = 1..j, j = min(k, M - k).
@@ -325,7 +338,7 @@ def _subset_population(
         count = count * (population - j + i) // i
     if count > cap:
         raise EnumerationCapError(
-            f"batch space holds more than {cap} batches, the enumeration cap"
+            f"batch space holds more than {cap} batches, {reason}"
         )
     return population
 
@@ -355,70 +368,35 @@ def _subset_blocks(population: int, size: int, rows: int) -> Iterator[np.ndarray
     """The ``size``-subsets of ``range(population)`` in lexicographic order.
 
     Yields fresh ``(rows, size)`` ``np.intp`` blocks, the last one shorter.
+    Each row is decoded from its int64 rank; the caller checks the space
+    with ``_subset_population(..., ranked=True)``.
     """
-    # Built a column at a time. The children of a prefix, its values in
-    # column j, are one range ending at top - 1, top = population - size +
-    # j + 1. Lined up, the children of a block of prefixes sit at positions
-    # 0 .. total - 1, prefix i owning those below ends[i]; the child at
-    # position p holds top - (ends[i] - p), and ends[i] - p is also its own
-    # child count. Column j < size - 1 is expanded depth first in pieces of
-    # rows >> (size - 1 - j) positions (at least one), so the prefix blocks
-    # held add up to about ``rows`` rows whatever the size of the space; the
-    # last column is written straight into the block being filled.
-
-    def expand(block, ends, start, stop, j, out=None):
-        # The children at positions start .. stop - 1, and their child counts.
-        position = np.arange(start, stop)
-        owner = ends.searchsorted(position, "right")
-        left = ends.take(owner)
-        left -= position
-        # mode="clip" lets take write into ``out`` unbuffered; owner is in range.
-        children = block.take(owner, axis=0, out=out, mode="clip")
-        np.subtract(population - size + j + 1, left, out=children[:, j])
-        return children, left
-
-    def column_zero():
-        top = population - size + 1
-        step = max(1, rows >> (size - 1))
-        for start in range(0, top, step):
-            values = np.arange(start, min(start + step, top))
-            block = np.empty((len(values), size), np.intp)
-            block[:, 0] = values
-            yield block, top - values
-
-    def column(block, counts, j):
-        ends = np.add.accumulate(counts)
-        total = int(ends[-1])
-        step = max(1, rows >> (size - 1 - j))
-        for start in range(0, total, step):
-            yield expand(block, ends, start, min(start + step, total), j)
-
-    remaining, filled = math.comb(population, size), 0
-    # One piece iterator per column being built, deepest last: an explicit
-    # stack, since a batch can have more columns than Python allows frames.
-    stack = [column_zero()]
-    while stack:
-        piece = next(stack[-1], None)
-        if piece is None:
-            stack.pop()
-        elif len(stack) == size:
-            yield piece[0]  # one column: its pieces hold ``rows`` batches each
-        elif len(stack) < size - 1:
-            stack.append(column(*piece, len(stack)))
-        else:
-            ends = np.add.accumulate(piece[1])
-            start, total = 0, int(ends[-1])
-            while start < total:
-                if not filled:
-                    chunk = np.empty((min(rows, remaining), size), np.intp)
-                stop = min(start + len(chunk) - filled, total)
-                end = filled + stop - start
-                expand(piece[0], ends, start, stop, size - 1, chunk[filled:end])
-                filled, start = end, stop
-                if filled == len(chunk):
-                    yield chunk
-                    remaining -= filled
-                    filled = 0
+    # The combinatorial number system (Knuth, TAOCP 4A, 7.2.1.3): subset a
+    # has rank r = total - 1 - sum_j C(population - 1 - a_j, size - j). A row
+    # is decoded from rest = r - (total - 1) a column at a time: column j
+    # takes the smallest a_j whose term is at most -rest, and adds the term.
+    # Only a_j = j + t, t = 0 .. spread, can occur, so tables[j, t] holds
+    # that term negated, -C(spread - t + size - j - 1, size - j), which rises
+    # with t; row j is the reversed cumulative sum of row j + 1, and no entry
+    # is below -total. The last column is a_j = population - 1 + rest, so a
+    # one-column space builds no table.
+    total = math.comb(population, size)
+    spread = population - size
+    tables = np.empty((size - 1, spread + 1), np.int64)
+    if size > 1:
+        term = np.arange(-spread, 1, dtype=np.int64)  # -C(spread - t, 1)
+        for table in tables[::-1]:
+            np.cumsum(term[::-1], out=table[::-1])
+            term = table
+    for start in range(0, total, rows):
+        rest = np.arange(start + 1 - total, min(start + rows, total) + 1 - total)
+        chunk = np.empty((len(rest), size), np.intp)
+        for j, table in enumerate(tables):
+            t = table.searchsorted(rest)
+            rest -= table.take(t)
+            np.add(t, j, out=chunk[:, j])
+        np.add(rest, population - 1, out=chunk[:, -1])
+        yield chunk
 
 
 def batch_probability(batch: Batch, n_components: int) -> float:

@@ -94,10 +94,11 @@ def _weighted_chunks(n_components: int, batch_size: int, scheme: Scheme, cap):
 
     ``idx`` holds m = ``max(1, _CHUNK_INDICES // batch_size)`` consecutive
     batches, fewer in the last chunk; ``weights[i]`` is the exact
-    :func:`~varbatch.sampling.batch_probability` of row i. The cap is
-    checked at the call, before any chunk is built.
+    :func:`~varbatch.sampling.batch_probability` of row i. The cap, and the
+    limit of the chunks' int64 rank decode, are checked at the call, before
+    any chunk is built.
     """
-    population = _subset_population(n_components, batch_size, scheme, cap)
+    population = _subset_population(n_components, batch_size, scheme, cap, ranked=True)
     rows = max(1, _CHUNK_INDICES // batch_size)
     chunks = _subset_blocks(population, batch_size, rows)
     if scheme is Scheme.WITHOUT_REPLACEMENT:
@@ -175,7 +176,9 @@ def exact_batch_variance(
     Every batch in the scheme's space contributes its exact probability
     weight, so the result is the estimator variance under the true sampling
     measure, not an approximation. Only feasible while the batch space is
-    within ``cap``; a larger space raises before anything is evaluated.
+    within ``cap``, and even under ``cap=None`` within ``(2**63 - 1) // M``
+    batches (M = N, or N + N_S - 1 with replacement); a larger space raises
+    before anything is evaluated.
     """
     chunks = _weighted_chunks(problem.n_components, batch_size, scheme, cap)
     grads = gradient_matrix(problem, x)
@@ -239,6 +242,7 @@ def average_batch_covariance(
 
     A batch's pair sum is ||sum c||^2 - sum ||c||^2 over its centered rows c:
     the square of the sum is every ordered pair plus the N_S self-products.
+    A space too large is refused as :func:`exact_batch_variance` refuses it.
     """
     if batch_size < 2:
         raise ValueError("covariance needs batches of at least two indices")

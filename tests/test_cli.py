@@ -157,7 +157,6 @@ def test_train_logistic_builtin_runs(tmp_path):
     assert (tmp_path / "train.csv").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_diverging_run_is_failure(tmp_path, capsys):
     assert main(["train", "--alpha", "50", "--out", str(tmp_path)]) == 1
     assert "termination=diverged" in capsys.readouterr().out
@@ -190,6 +189,11 @@ def test_train_malformed_dataset_is_io_error(tmp_path):
 
 def test_train_bad_cap_is_usage_error(tmp_path):
     assert main(["train", "--C", "-1", "--out", str(tmp_path)]) == 2
+
+
+def test_train_negative_seed_is_usage_error(tmp_path, capsys):
+    assert main(["train", "--seed", "-1", "--out", str(tmp_path)]) == 2
+    assert "seed" in capsys.readouterr().err
 
 
 def test_malformed_flag_is_usage_exit():

@@ -177,7 +177,6 @@ def test_run_propagates_programming_errors(ls5, monkeypatch):
         run(ls5, make_config(5))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_stops_as_diverged_on_non_finite_step(ls5, random_ls):
     fast = LearningRateSchedule.constant(50.0)
     # With auto_cap the measured variance overflows before the iterate does.

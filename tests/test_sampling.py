@@ -1,6 +1,6 @@
 import math
 from collections import Counter
-from itertools import product
+from itertools import combinations, islice, product
 
 import numpy as np
 import pytest
@@ -145,6 +145,17 @@ def test_seeded_rng_integers_array_bounds():
         assert all(type(value) is int for value in expected)
         assert out.tolist() == expected
         assert vector.integers(0, high) == scalar.integers(0, high)
+
+
+def test_seeded_rng_refuses_negative_and_non_integral_seeds():
+    for seed in (-1, 1.5, 2.0, np.int64(-3), "4", None):
+        with pytest.raises(ValueError, match="seed"):
+            SeededRng(seed)
+    for seed in (np.int64(5), np.uint32(5)):
+        assert SeededRng(seed).seed == 5
+        assert SeededRng(seed).integers(0, 100, size=4).tolist() == (
+            SeededRng(5).integers(0, 100, size=4).tolist()
+        )
 
 
 def test_samplers_validate_sizes():
@@ -309,6 +320,27 @@ def test_cap_refusal_for_spaces_with_huge_counts():
         enumerate_batches(20000, 10000, WITHOUT)
     with pytest.raises(EnumerationCapError, match="more than 1000000"):
         enumerate_batches(20000, 10000, WITH)
+
+
+def test_rank_limit_is_exact_and_its_tables_hold():
+    # The largest populations whose k-subsets int64 ranks index: 86,250 for
+    # k = 3 and 213 for k = 10. Their first rows read the largest table
+    # entries, so an overflow there would show in them.
+    for size, population in ((3, 86_250), (10, 213)):
+        limit = (2**63 - 1) // population
+        assert math.comb(population, size) <= limit
+        assert math.comb(population + 1, size) > (2**63 - 1) // (population + 1)
+        assert sampling._subset_population(population, size, WITHOUT, ranked=True) == population
+        with pytest.raises(EnumerationCapError, match="int64"):
+            sampling._subset_population(population + 1, size, WITHOUT, ranked=True)
+        with pytest.raises(EnumerationCapError, match="int64"):
+            sampling._subset_population(population + 2 - size, size, WITH, ranked=True)
+        # Unranked, the same space is only checked against the cap.
+        assert sampling._subset_population(population + 1, size, WITHOUT) == population + 1
+        idx = next(sampling._subset_blocks(population, size, 50))
+        assert [tuple(row) for row in idx.tolist()] == list(
+            islice(combinations(range(population), size), 50)
+        )
 
 
 def test_cap_refusal_does_not_count_the_space(monkeypatch):

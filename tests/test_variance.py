@@ -339,7 +339,7 @@ def test_oracles_refuse_space_above_cap_before_evaluating():
     assert evaluated == []
 
 
-@pytest.mark.parametrize(("n", "size"), [(2, 64), (3, 40)])
+@pytest.mark.parametrize(("n", "size"), [(2, 64), (3, 40), (2, 600)])
 def test_chunk_weights_stay_exact_for_long_batches(n, size):
     # k! overflows 64-bit integers from k = 21 on; the weights must not.
     weights = np.concatenate(
@@ -405,10 +405,28 @@ def test_first_chunk_of_a_large_space_stays_small():
 
 
 def test_batches_with_more_columns_than_the_recursion_limit():
-    # A subset of half of 3,000 values: one piece iterator per column.
+    # Multisets over two values, and subsets of all but two of the values.
     size = sys.getrecursionlimit() + 500
-    idx, weights = next(variance._weighted_chunks(2 * size, size, WITHOUT, None))
-    assert [tuple(row) for row in idx.tolist()] == list(
-        islice(combinations(range(2 * size), size), len(idx))
-    )
-    assert weights.tolist() == [0.0] * len(idx)
+    for n, scheme, space in (
+        (2, WITH, combinations_with_replacement),
+        (size + 2, WITHOUT, combinations),
+    ):
+        idx, weights = next(variance._weighted_chunks(n, size, scheme, None))
+        expected = list(islice(space(range(n), size), len(idx)))
+        assert [tuple(row) for row in idx.tolist()] == expected
+        batches = islice(enumerate_batches(n, size, scheme, cap=None), len(idx))
+        assert weights.tolist() == [batch_probability(b, n) for b in batches]
+
+
+def test_oracles_refuse_spaces_past_int64_ranks_without_a_cap():
+    # C(3000, 1500) is about 10**901 subsets and C(3999, 1500) multisets,
+    # more than int64 ranks can index.
+    def gradient(i, x):
+        raise AssertionError("evaluated a gradient")
+
+    problem = FiniteSumProblem(1, 3000, lambda i, x: 0.0, gradient)
+    for scheme in (WITHOUT, WITH):
+        with pytest.raises(EnumerationCapError, match="int64"):
+            exact_batch_variance(problem, X0, 1500, scheme, cap=None)
+    with pytest.raises(EnumerationCapError, match="int64"):
+        average_batch_covariance(problem, X0, 1500, cap=None)
