@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .sampling import Batch
+from .sampling import Batch, _check_count
 
 
 class DatasetFormatError(ValueError):
@@ -57,10 +57,8 @@ class FiniteSumProblem:
     label: str = ""
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("problem dimension must be at least 1")
-        if self.n_components < 1:
-            raise ValueError("problem needs at least one component")
+        _check_count(self.dim, "problem dimension", 1)
+        _check_count(self.n_components, "population size", 1)
 
     def gradients(self, indices, x: np.ndarray) -> np.ndarray:
         """Component gradients at ``x``, one row per index: a new (k, d) array.
@@ -281,7 +279,9 @@ def objective_value(problem: FiniteSumProblem, x) -> float:
 
 
 # Rows per block of the table build (about 360 kB of table at d = 10): a
-# block's rows are still cached when its target column is written.
+# block's rows are still cached when its target column is written. On a
+# 2-vCPU VM (min of 5, 3 alternating rounds), a 1e6 x 10 float fill took
+# 37-40 ms blocked and 44-49 ms unblocked; a 3e5 x 10 int one, 7-8 and 10-11 ms.
 _BUILD_ROWS = 4096
 
 

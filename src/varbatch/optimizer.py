@@ -17,6 +17,7 @@ from .finite_sum import (
 from .sampling import (
     Scheme,
     SeededRng,
+    _check_count,
     sample_with_replacement,
     sample_without_replacement,
 )
@@ -72,8 +73,7 @@ class RunConfig:
     auto_cap: bool = False
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        _check_count(self.max_iters, "max_iters", 1)
         if not self.tolerance >= 0:
             raise ValueError("tolerance must be a nonnegative number")
         if self.auto_cap and not self.monitor_full_gradient:

@@ -11,6 +11,9 @@ oracles in :mod:`varbatch.variance` read the same space, in the same order,
 as numpy index blocks whose rows are decoded from their int64 lexicographic
 ranks (:func:`_subset_blocks`), so they refuse a space of more than
 ``(2**63 - 1) // M`` batches, M as in :func:`_subset_population`.
+
+Every module checks its counts with :func:`_check_count`, and which batch
+sizes a scheme admits with :func:`_subset_population`.
 """
 from __future__ import annotations
 
@@ -50,6 +53,18 @@ class EnumerationCapError(Exception):
     """Batch space too large to enumerate; fall back to Monte Carlo."""
 
 
+_INTEGERS = (int, np.integer)  # built once: the samplers check on every draw
+
+
+def _check_count(value, name: str, least: int) -> None:
+    """Refuse ``value`` unless it is a Python or numpy integer >= ``least``.
+
+    The one check of every count; ``2.0`` is refused, not truncated.
+    """
+    if not isinstance(value, _INTEGERS) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 class SeededRng:
     """Deterministic random source for samplers and experiment scripts.
 
@@ -64,14 +79,12 @@ class SeededRng:
     the same batch loop-free, so batch streams are bit-identical whichever
     path a draw takes.
 
-    The seed is a nonnegative integer, a numpy one included; anything else
-    raises ``ValueError`` rather than being truncated. Instances own mutable
-    generator state; use one per thread.
+    The seed is a count (see :func:`_check_count`) of at least 0. Instances
+    own mutable generator state; use one per thread.
     """
 
     def __init__(self, seed: int):
-        if not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+        _check_count(seed, "seed", 0)
         self.seed = int(seed)
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
@@ -209,10 +222,7 @@ def make_batch(indices: Iterable[int], scheme: Scheme) -> Batch:
 
 def sample_with_replacement(rng: SeededRng, n_components: int, batch_size: int) -> Batch:
     """Draw ``batch_size`` independent uniform indices from ``[0, n_components)``."""
-    if n_components < 1:
-        raise ValueError("population must contain at least one component")
-    if batch_size < 1:
-        raise ValueError("batch size must be at least 1")
+    _subset_population(n_components, batch_size, Scheme.WITH_REPLACEMENT)
     draws = rng.integers(0, n_components, size=batch_size)
     draws.sort()
     return _sampled(draws, Scheme.WITH_REPLACEMENT)
@@ -235,12 +245,7 @@ def sample_without_replacement(rng: SeededRng, n_components: int, batch_size: in
     per-call costs are repaid, :func:`_fisher_yates_batch` computes the same
     prefix in a few array passes and O(batch_size log batch_size) time.
     """
-    if n_components < 1:
-        raise ValueError("population must contain at least one component")
-    if not 1 <= batch_size <= n_components:
-        raise ValueError(
-            f"batch size must be in [1, {n_components}], got {batch_size}"
-        )
+    _subset_population(n_components, batch_size, Scheme.WITHOUT_REPLACEMENT)
     offsets = rng.integers(np.arange(batch_size), n_components)
     if batch_size >= _LOOP_FREE_MIN_SIZE:
         return _sampled(_fisher_yates_batch(offsets), Scheme.WITHOUT_REPLACEMENT)
@@ -303,30 +308,26 @@ def _subset_population(
 ) -> int:
     """The M whose k-subsets the batch space maps onto, checked against ``cap`` if given.
 
-    With replacement M = N + k - 1: ``a_j = b_j + j`` maps a canonical
-    multiset b of ``range(N)`` onto a k-subset a of ``range(M)``. A
-    ``ranked`` space, read through :func:`_subset_blocks`, is also refused
-    above ``(2**63 - 1) // M`` batches, whatever the cap: its ranks are
-    int64, and the margin of M keeps a decode table row, M - k + 1 values,
-    below 2.7 million.
+    The one check of which sizes a scheme admits: any k >= 1 with
+    replacement, 1 <= k <= N without. With replacement M = N + k - 1:
+    ``a_j = b_j + j`` maps a canonical multiset b of ``range(N)`` onto a
+    k-subset a of ``range(M)``. A ``ranked`` space, read through
+    :func:`_subset_blocks`, is also refused above ``(2**63 - 1) // M``
+    batches, whatever the cap: its ranks are int64, and the margin of M
+    keeps a decode table row, M - k + 1 values, below 2.7 million.
     """
-    if n_components < 1:
-        raise ValueError("population must contain at least one component")
-    if batch_size < 1:
-        raise ValueError("batch size must be at least 1")
+    _check_count(n_components, "population size", 1)
+    _check_count(batch_size, "batch size", 1)
+    population = n_components
     if scheme is Scheme.WITH_REPLACEMENT:
-        population = n_components + batch_size - 1
+        population += batch_size - 1
     elif batch_size > n_components:
-        raise ValueError(
-            f"cannot draw {batch_size} distinct indices from {n_components} components"
-        )
-    else:
-        population = n_components
+        raise ValueError(f"batch size must be in [1, {n_components}], got {batch_size}")
+    if cap is None and not ranked:
+        return population
     reason, limit = "the enumeration cap", (2**63 - 1) // population
     if ranked and (cap is None or cap > limit):
         cap, reason = limit, "the most that int64 ranks can index"
-    if cap is None:
-        return population
     # C(M, k) multiplied up as C(M - j + i, i) for i = 1..j, j = min(k, M - k).
     # Each partial count is an integer no smaller than the last, so the loop
     # stops once one passes the cap, without the exact count, whose digits
@@ -409,6 +410,7 @@ def batch_probability(batch: Batch, n_components: int) -> float:
     Weighting canonical batches this way reproduces the independent-draw
     measure exactly without materializing all n**k ordered draws.
     """
+    _check_count(n_components, "population size", 1)
     return _index_probability(batch.indices, batch.scheme, n_components)
 
 
@@ -425,4 +427,5 @@ def _index_probability(indices, scheme: Scheme, n_components: int) -> float:
     # Sorted indices sit in runs, one per distinct value, as long as its multiplicity.
     for _, run in groupby(indices):
         orderings //= math.factorial(len(list(run)))
-    return orderings / n_components**k
+    # A Python int power: a numpy integer N would wrap around in int64.
+    return orderings / int(n_components) ** k

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .sampling import Scheme
+from .sampling import Scheme, _check_count, _subset_population
 from .variance import analytic_variance_without_replacement
 
 GEOMETRIC = "geometric"
@@ -88,8 +88,9 @@ class VarianceCap:
 class BatchSizeRule:
     """Policy turning (cap, population size, eps_k) into a batch size.
 
-    Emitted sizes always lie in [floor, n_components], and the sequence never
-    shrinks even if eps_k plateaus numerically.
+    Emitted sizes always lie in [floor, n_components], so the floor is
+    checked as a without-replacement batch size in both schemes, and the
+    sequence never shrinks even if eps_k plateaus numerically.
     """
 
     scheme: Scheme
@@ -98,12 +99,7 @@ class BatchSizeRule:
     floor: int = 1
 
     def __post_init__(self):
-        if self.n_components < 1:
-            raise ValueError("population must contain at least one component")
-        if not 1 <= self.floor <= self.n_components:
-            raise ValueError(
-                f"floor must be in [1, {self.n_components}], got {self.floor}"
-            )
+        _subset_population(self.n_components, self.floor, Scheme.WITHOUT_REPLACEMENT)
 
 
 # Thresholds that are mathematically integral can land a hair past the
@@ -138,8 +134,7 @@ def batch_bound_without_replacement(
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    if n_components < 1:
-        raise ValueError("population must contain at least one component")
+    _check_count(n_components, "population size", 1)
     if not isinstance(cap, VarianceCap):
         cap = VarianceCap(cap)
     bound = n_components * cap.value / ((n_components - 1) * eps + cap.value)
@@ -157,8 +152,7 @@ def min_batch_with_replacement(
     clamped to the population size for plotting and rule use. Without it, a
     bound C / eps past the float range has no integer size and raises.
     """
-    if n_components < 1:
-        raise ValueError("population must contain at least one component")
+    _check_count(n_components, "population size", 1)
     bound = batch_bound_with_replacement(cap, eps)
     if truncate and bound >= n_components:
         return n_components

@@ -5,7 +5,8 @@ replacement it shrinks by the finite population correction (N - N_S)/(N - 1),
 reaching zero when the batch is the whole population. The exact enumeration
 estimators here average over the entire batch space and act as independent
 oracles for those formulas at small scale; a Monte Carlo estimator covers
-populations past the enumeration cap.
+populations past the enumeration cap. Each checks its sizes, as
+:mod:`varbatch.sampling` does, before it evaluates anything.
 
 The oracles read the batch space in the order of
 :func:`~varbatch.sampling.enumerate_batches`, but as numpy index chunks
@@ -38,6 +39,7 @@ from .sampling import (
     DEFAULT_ENUMERATION_CAP,
     Scheme,
     SeededRng,
+    _check_count,
     _index_probability,
     _subset_blocks,
     _subset_population,
@@ -54,8 +56,7 @@ def analytic_variance_with_replacement(var_comp: float, batch_size: int) -> floa
     """Var / N_S: independent draws average down the component variance."""
     if var_comp < 0:
         raise ValueError("component variance cannot be negative")
-    if batch_size < 1:
-        raise ValueError("batch size must be at least 1")
+    _check_count(batch_size, "batch size", 1)
     return var_comp / batch_size
 
 
@@ -69,12 +70,7 @@ def analytic_variance_without_replacement(
     """
     if var_comp < 0:
         raise ValueError("component variance cannot be negative")
-    if n_components < 1:
-        raise ValueError("population must contain at least one component")
-    if not 1 <= batch_size <= n_components:
-        raise ValueError(
-            f"batch size must be in [1, {n_components}], got {batch_size}"
-        )
+    _subset_population(n_components, batch_size, Scheme.WITHOUT_REPLACEMENT)
     if n_components == 1:
         return 0.0
     return (var_comp / batch_size) * (n_components - batch_size) / (n_components - 1)
@@ -206,16 +202,15 @@ def empirical_batch_variance(
     ``_CHUNK_INDICES`` indices, and the m batch means are taken over the
     ``(m, N_S)`` rows in index order, as ``batch_gradient`` takes one.
     """
-    if draws < 2:
-        raise ValueError("need at least two draws")
+    _check_count(draws, "draws", 2)
+    _subset_population(problem.n_components, batch_size, scheme)
     if scheme is Scheme.WITH_REPLACEMENT:
         sample = sample_with_replacement
     else:
         sample = sample_without_replacement
     x = _as_point(problem, x)
     center = full_gradient(problem, x)
-    # A size below 1 reaches the sampler, which refuses it.
-    rows = max(1, _CHUNK_INDICES // max(1, batch_size))
+    rows = max(1, _CHUNK_INDICES // batch_size)
     total = 0.0
     for start in range(0, draws, rows):
         m = min(rows, draws - start)
@@ -244,8 +239,7 @@ def average_batch_covariance(
     the square of the sum is every ordered pair plus the N_S self-products.
     A space too large is refused as :func:`exact_batch_variance` refuses it.
     """
-    if batch_size < 2:
-        raise ValueError("covariance needs batches of at least two indices")
+    _check_count(batch_size, "batch size", 2)
     chunks = _weighted_chunks(
         problem.n_components, batch_size, Scheme.WITHOUT_REPLACEMENT, cap
     )

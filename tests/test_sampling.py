@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 from itertools import combinations, islice, product
 
@@ -9,13 +10,28 @@ import varbatch.sampling as sampling
 from helpers import dense_sample_without_replacement, dict_loop_batch
 from varbatch import (
     Batch,
+    BatchSizeRule,
     EnumerationCapError,
+    EpsilonSchedule,
+    FiniteSumProblem,
+    LearningRateSchedule,
+    RunConfig,
     Scheme,
     SeededRng,
+    VarianceCap,
+    analytic_variance,
+    analytic_variance_with_replacement,
+    analytic_variance_without_replacement,
+    average_batch_covariance,
+    batch_bound_without_replacement,
     batch_probability,
     count_batches,
+    empirical_batch_variance,
     enumerate_batches,
+    exact_batch_variance,
     make_batch,
+    min_batch_with_replacement,
+    min_batch_without_replacement,
     sample_with_replacement,
     sample_without_replacement,
 )
@@ -386,3 +402,115 @@ def test_batch_probability_unchanged_on_small_subsets():
         for size in range(1, n + 1):
             batch = Batch(tuple(range(n - size, n)), WITHOUT)
             assert batch_probability(batch, n) == 1.0 / math.comb(n, size)
+
+
+def _problem(n):
+    """A one-dimensional problem over ``n`` components, g_i(x) = x - i."""
+    return FiniteSumProblem(1, n, lambda i, x: 0.0, lambda i, x: x - float(i))
+
+
+_X = np.array([0.5])
+_BAD_COUNTS = (0, -1, 2.5, 2.0, "3", None)
+
+
+# Every entry point that takes a population size N or a batch size N_S, as
+# call(N, N_S), with what it reads: "N", "N_S", or both, where "without"
+# admits N_S <= N only and "with" any N_S; and the least N_S it admits.
+# The problem-based ones read N from the problem they are called on.
+_SIZE_ENTRY_POINTS = {
+    "sample_with_replacement": (
+        lambda n, k: sample_with_replacement(SeededRng(0), n, k), "with", 1),
+    "sample_without_replacement": (
+        lambda n, k: sample_without_replacement(SeededRng(0), n, k), "without", 1),
+    "analytic_variance_with_replacement": (
+        lambda n, k: analytic_variance_with_replacement(2.0, k), "N_S", 1),
+    "analytic_variance_without_replacement": (
+        lambda n, k: analytic_variance_without_replacement(2.0, n, k), "without", 1),
+    "analytic_variance": (
+        lambda n, k: analytic_variance(WITHOUT, 2.0, n, k), "without", 1),
+    # The floor bounds sizes that never exceed N, whatever the scheme.
+    "BatchSizeRule": (
+        lambda n, k: BatchSizeRule(WITH, VarianceCap(1.0), n, floor=k), "without", 1),
+    "batch_bound_without_replacement": (
+        lambda n, k: batch_bound_without_replacement(1.0, n, 0.1), "N", 1),
+    "min_batch_with_replacement": (
+        lambda n, k: min_batch_with_replacement(1.0, 0.1, n), "N", 1),
+    "min_batch_without_replacement": (
+        lambda n, k: min_batch_without_replacement(1.0, n, 0.1), "N", 1),
+    "batch_probability": (
+        lambda n, k: batch_probability(Batch((0, 1), WITHOUT), n), "N", 1),
+    "count_batches_with": (lambda n, k: count_batches(n, k, WITH), "with", 1),
+    "count_batches_without": (lambda n, k: count_batches(n, k, WITHOUT), "without", 1),
+    "enumerate_batches_with": (
+        lambda n, k: list(enumerate_batches(n, k, WITH)), "with", 1),
+    "enumerate_batches_without": (
+        lambda n, k: list(enumerate_batches(n, k, WITHOUT)), "without", 1),
+    "exact_batch_variance_with": (
+        lambda n, k: exact_batch_variance(_problem(n), _X, k, WITH), "with", 1),
+    "exact_batch_variance_without": (
+        lambda n, k: exact_batch_variance(_problem(n), _X, k, WITHOUT), "without", 1),
+    "empirical_batch_variance_with": (
+        lambda n, k: empirical_batch_variance(_problem(n), _X, k, WITH, 2, SeededRng(0)),
+        "with", 1),
+    "empirical_batch_variance_without": (
+        lambda n, k: empirical_batch_variance(_problem(n), _X, k, WITHOUT, 2, SeededRng(0)),
+        "without", 1),
+    "average_batch_covariance": (
+        lambda n, k: average_batch_covariance(_problem(n), _X, k), "without", 2),
+}
+
+
+def _refused(message):
+    return pytest.raises(ValueError, match=f"^{re.escape(message)}$")
+
+
+@pytest.mark.parametrize(
+    ("call", "reads", "least"), _SIZE_ENTRY_POINTS.values(), ids=_SIZE_ENTRY_POINTS
+)
+def test_every_size_check_refuses_with_one_message_per_fact(call, reads, least):
+    # N and N_S are integers of at least 1 (2 for pairs), a float refused
+    # even when integral; without replacement N_S is also at most N. Each
+    # fact has one message, whichever entry point reads the size.
+    if reads != "N_S":
+        for bad in _BAD_COUNTS:
+            with _refused(f"population size must be an integer >= 1, got {bad!r}"):
+                call(bad, 2)
+    if reads != "N":
+        for bad in _BAD_COUNTS + tuple(range(1, least)):
+            with _refused(f"batch size must be an integer >= {least}, got {bad!r}"):
+                call(5, bad)
+    if reads == "without":
+        with _refused("batch size must be in [1, 5], got 6"):
+            call(5, 6)
+    elif reads == "with":
+        call(5, 6)
+    # numpy integers are counts too, and give the same result.
+    assert call(np.int64(5), np.int64(2)) == call(5, 2)
+
+
+@pytest.mark.parametrize(
+    ("call", "name", "least"),
+    [
+        (lambda v: FiniteSumProblem(v, 3, None, None), "problem dimension", 1),
+        (lambda v: RunConfig(
+            BatchSizeRule(WITH, VarianceCap(1.0), 3),
+            EpsilonSchedule.geometric(),
+            LearningRateSchedule.constant(),
+            max_iters=v,
+        ), "max_iters", 1),
+        (lambda v: empirical_batch_variance(_problem(3), _X, 1, WITH, v, SeededRng(0)),
+         "draws", 2),
+    ],
+    ids=["dim", "max_iters", "draws"],
+)
+def test_every_other_count_shares_the_check(call, name, least):
+    for bad in (least - 1, -1, 2.5, 2.0, "3", None):
+        with _refused(f"{name} must be an integer >= {least}, got {bad!r}"):
+            call(bad)
+    call(np.int64(least + 1))
+
+
+def test_numpy_population_sizes_do_not_wrap_in_probabilities():
+    # N**N_S past int64: 2**64 must not wrap around to 0 or worse.
+    multiset = Batch((0,) * 64, WITH)
+    assert batch_probability(multiset, np.int64(2)) == batch_probability(multiset, 2) == 2.0**-64

@@ -197,10 +197,32 @@ def test_empirical_variance_needs_two_draws(ls5):
 
 @pytest.mark.parametrize("scheme", [WITHOUT, WITH])
 def test_empirical_variance_refuses_batches_below_one(ls5, scheme):
-    # The sampler's own error, for 0 as for -1.
+    # The shared batch-size check's error, for 0 as for -1.
     for size in (0, -1):
         with pytest.raises(ValueError, match="batch size must be"):
             empirical_batch_variance(ls5, X0, size, scheme, 2, SeededRng(0))
+
+
+@pytest.mark.parametrize("scheme", [WITHOUT, WITH])
+def test_empirical_variance_refuses_before_evaluating_or_drawing(scheme):
+    evaluated = []
+
+    def gradient(i, x):
+        evaluated.append(i)
+        return x - float(i)
+
+    problem = FiniteSumProblem(1, 5, lambda i, x: 0.0, gradient)
+    rng = SeededRng(3)
+    bad = [(0, 10), (2.5, 10), (2.0, 10), (2, 1)]
+    if scheme is WITHOUT:
+        bad.append((6, 10))
+    for size, draws in bad:
+        with pytest.raises(ValueError):
+            empirical_batch_variance(problem, X0, size, scheme, draws, rng)
+    assert evaluated == []
+    # Nothing was drawn: the stream goes on as a fresh generator's would.
+    fresh = SeededRng(3)
+    assert rng.integers(0, 2**62, size=4).tolist() == fresh.integers(0, 2**62, size=4).tolist()
 
 
 @pytest.mark.parametrize("scheme", [WITHOUT, WITH])
