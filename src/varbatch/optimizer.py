@@ -117,8 +117,7 @@ class RunRecord:
 
 def learning_rate_at(config: RunConfig, k: int) -> float:
     """Step size alpha_k for iteration ``k``; always positive."""
-    if k < 0:
-        raise ValueError("iteration index must be nonnegative")
+    _check_count(k, "iteration index", 0)
     schedule = config.learning_rate
     if schedule.kind == CONSTANT:
         return schedule.alpha0

@@ -27,10 +27,10 @@ from typing import Iterable, Iterator
 import numpy as np
 
 DEFAULT_ENUMERATION_CAP = 1_000_000
-# Subset draws of at least this many indices take the loop-free path. Its
-# dozen numpy calls cost a few tens of microseconds at any size, the dict
-# loop about 0.3-0.5 us per index; the two cross near 100 indices.
-_LOOP_FREE_MIN_SIZE = 100
+# Subset draws of at least this many indices, N * k <= 2**63 - 1, take the
+# one-sort kernel: a whole draw costs 23-29 us that way at 40-120 indices, and
+# 10 us + 0.26 us per index in the dict loop; they cross at 50-60 (2-vCPU VM).
+_LOOP_FREE_MIN_SIZE = 60
 
 
 class Scheme(Enum):
@@ -75,9 +75,9 @@ class SeededRng:
     so results do not depend on numpy's internal selection algorithms; it
     takes all its offsets from one vectorised bounded draw, which yields the
     same values and leaves the same generator state as one scalar draw per
-    step. Small draws replay the swaps in a dict loop and large ones compute
-    the same batch loop-free, so batch streams are bit-identical whichever
-    path a draw takes.
+    step. Small draws, and those whose int64 sort keys would overflow, replay
+    the swaps in a dict loop; the rest compute the same batch with one sort,
+    so batch streams are bit-identical whichever path a draw takes.
 
     The seed is a count (see :func:`_check_count`) of at least 0. Instances
     own mutable generator state; use one per thread.
@@ -240,15 +240,15 @@ def sample_without_replacement(rng: SeededRng, n_components: int, batch_size: in
 
     The pool is the identity except at displaced slots, so a draw costs
     O(batch_size) memory whatever the population size. Below
-    ``_LOOP_FREE_MIN_SIZE`` indices a dict of the displaced slots replays
-    the swaps one step at a time; from there on, where numpy's fixed
-    per-call costs are repaid, :func:`_fisher_yates_batch` computes the same
-    prefix in a few array passes and O(batch_size log batch_size) time.
+    ``_LOOP_FREE_MIN_SIZE`` indices, or where N * k passes int64, a dict of
+    the displaced slots replays the swaps one step at a time; otherwise
+    :func:`_fisher_yates_batch` computes the same prefix around one sort.
     """
     _subset_population(n_components, batch_size, Scheme.WITHOUT_REPLACEMENT)
-    offsets = rng.integers(np.arange(batch_size), n_components)
-    if batch_size >= _LOOP_FREE_MIN_SIZE:
-        return _sampled(_fisher_yates_batch(offsets), Scheme.WITHOUT_REPLACEMENT)
+    steps = np.arange(batch_size)
+    offsets = rng.integers(steps, n_components)
+    if batch_size >= _LOOP_FREE_MIN_SIZE and n_components <= (2**63 - 1) // batch_size:
+        return _sampled(_fisher_yates_batch(offsets, steps), Scheme.WITHOUT_REPLACEMENT)
     moved: dict[int, int] = {}
     chosen = []
     for j, r in enumerate(offsets.tolist()):
@@ -258,39 +258,37 @@ def sample_without_replacement(rng: SeededRng, n_components: int, batch_size: in
     return _sampled(np.array(sorted(chosen), np.intp), Scheme.WITHOUT_REPLACEMENT)
 
 
-def _fisher_yates_batch(offsets: np.ndarray) -> np.ndarray:
+def _fisher_yates_batch(offsets: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """Sorted pool prefix after the partial Fisher-Yates swaps ``offsets``, loop-free.
 
-    With k = ``offsets.size`` and r_j = ``offsets[j]`` in ``[j, N)``: slot
-    t < k is written only by steps j <= t, so the value it holds just before
-    step t, root(t), is root(j) for the last step j < t with r_j == t, or t
-    if there is none. Following these links to their fixed point by pointer
-    doubling takes at most ceil(log2 k) + 1 rounds, since each link points
-    to a smaller slot. Every outer slot s >= k that some r_j hits ends up in
-    the batch, and the prefix loses root(j) for the last step j that hits s.
-    The kept prefix slots and the distinct outer slots are each sorted, and
-    every outer slot exceeds every prefix slot, so their concatenation is
-    the sorted batch. A self-hit r_t == t links slot t to itself and so
-    loses root(t), but step t links no other slot, so that root is never read.
+    With ``steps`` = ``np.arange(k)``, used up as scratch, r_j = ``offsets[j]``
+    in ``[j, N)`` and N * k <= 2**63 - 1, the unique int64 keys r_j * k + j,
+    sorted once, list each hit slot with its last step, whatever the sort
+    algorithm. Slot t < k is written only by steps j <= t, so the value it
+    holds just before step t, root(t), is root(j) for the last step j < t
+    with r_j == t, or t if there is none; pointer doubling follows these
+    links, each to a smaller slot, in at most ceil(log2 k) + 1 rounds, if
+    there are any. Every outer slot s >= k that some r_j hits joins the
+    batch, after the kept prefix slots, which lose root(j) for the last step
+    j that hits s. A self-hit r_t == t leaves root(t) unread, so t keeps t.
     """
-    size = offsets.size
-    order = np.argsort(offsets)
-    targets = offsets[order]
-    first = np.ones(size, bool)
-    first[1:] = targets[1:] != targets[:-1]
-    # The argsort is unstable, so take each slot's last step as a maximum:
-    # numpy does not say which of several writes to one slot wins.
-    last_step = np.zeros(np.count_nonzero(first), np.intp)
-    np.maximum.at(last_step, np.cumsum(first) - 1, order)
-    targets = targets[first]
-    inner = np.searchsorted(targets, size)
-    root = np.arange(size)
-    root[targets[:inner]] = last_step[:inner]
-    hop = root[root]
-    while not np.array_equal(hop, root):
-        root, hop = hop, hop[hop]
+    size = steps.size
+    keys = offsets * size + steps
+    keys.sort()
+    targets = keys // size
+    last = np.ones(size, bool)  # a slot's last key holds the last step that hits it
+    np.not_equal(targets[1:], targets[:-1], out=last[:-1])
+    targets = targets[last]
+    hits = keys[last] - targets * size
+    inner = targets.searchsorted(size)
+    root = steps
+    if (hits[:inner] != targets[:inner]).any():
+        root[targets[:inner]] = hits[:inner]
+        hop = root[root]
+        while not np.array_equal(hop, root):
+            root, hop = hop, hop[hop]
     kept = np.ones(size, bool)
-    kept[root[last_step[inner:]]] = False
+    kept[root[hits[inner:]]] = False
     return np.concatenate((np.flatnonzero(kept), targets[inner:]))
 
 

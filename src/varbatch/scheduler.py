@@ -63,8 +63,7 @@ class EpsilonSchedule:
 
 def epsilon_at(schedule: EpsilonSchedule, k: int) -> float:
     """Tolerance eps_k; always strictly positive."""
-    if k < 0:
-        raise ValueError("iteration index must be nonnegative")
+    _check_count(k, "iteration index", 0)
     if schedule.kind == GEOMETRIC:
         return max(schedule.eps0 * schedule.rho**k, _EPSILON_FLOOR)
     try:
@@ -195,7 +194,8 @@ def next_batch_size(
     (used by the auto-cap extension in the optimizer).
     """
     n = rule.n_components
-    if not rule.floor <= previous <= n:
+    _check_count(previous, "previous size", rule.floor)
+    if previous > n:
         raise ValueError(f"previous size must be in [{rule.floor}, {n}], got {previous}")
     eps = epsilon_at(schedule, k)
     cap = rule.cap if cap_override is None else cap_override

@@ -58,6 +58,11 @@ def test_learning_rate_validation():
             LearningRateSchedule.constant(alpha)
     with pytest.raises(ValueError):
         learning_rate_at(make_config(5), -1)
+    config = make_config(5, learning_rate=LearningRateSchedule.decaying(1.0))
+    assert learning_rate_at(config, np.int64(3)) == 0.25
+    for k in (1.5, 3.0):
+        with pytest.raises(ValueError, match="iteration index must be an integer >= 0"):
+            learning_rate_at(config, k)
 
 
 def test_run_converges_on_least_squares(ls5):

@@ -131,7 +131,7 @@ def test_loop_free_batch_matches_dict_loop(n, jumps):
     # array with one value, which gives self-hits, chains and collisions.
     size = min(n, jumps.size)
     offsets = np.minimum(np.arange(size) + jumps[:size], n - 1)
-    assert _fisher_yates_batch(offsets).tolist() == dict_loop_batch(offsets)
+    assert _fisher_yates_batch(offsets, np.arange(size)).tolist() == dict_loop_batch(offsets)
 
 
 # Lossless and rounded spellings of one float, signed and exponent forms included.

@@ -101,14 +101,19 @@ def test_sample_without_replacement_full_population():
 
 def test_sparse_sampler_stream_matches_dense_reference():
     # Same batches and, through the interleaved with-replacement draws, the
-    # same generator state after every call; 2**32 + 5 takes numpy's 64-bit
-    # bounded path, the others its 32-bit one. Sizes 99, 100 and 101 sit
-    # around the sampler's loop-free threshold. The dense reference takes
-    # about 3 ms at (1000, 1000) and 50 ms at (30000, 20000), so the larger
-    # shapes run for every 8th and every 100th seed.
+    # same generator state after every call; 2**32 + 5 and 2**62 take
+    # numpy's 64-bit bounded path, the others its 32-bit one. Sizes
+    # threshold - 1 .. threshold + 1 sit around the sampler's loop-free
+    # threshold, and (2**62, 70), whose keys r_j * k + j would pass int64,
+    # takes the dict loop. The dense reference takes about 3 ms at
+    # (1000, 1000) and 50 ms at (30000, 20000), so the larger shapes run for
+    # every 8th and every 100th seed.
+    threshold = _LOOP_FREE_MIN_SIZE
     cases = (
         (1, 1), (2, 2), (9, 3), (50, 50), (1000, 37), (10**5, 500), (2**32 + 5, 40),
         (120, 99), (120, 100), (120, 101),
+        (120, threshold - 1), (120, threshold), (120, threshold + 1),
+        (2**62, 3), (2**62, 70),
     )
     large = ((1000, 1000), (2**32 + 5, 500))
     for seed in range(200):
@@ -135,12 +140,43 @@ def test_loop_free_batch_matches_dict_loop_on_crafted_offsets():
                 np.maximum(steps, n - 1 - steps),
             ):
                 expected = dict_loop_batch(offsets)
-                assert _fisher_yates_batch(offsets).tolist() == expected
+                assert _fisher_yates_batch(offsets, np.arange(size)).tolist() == expected
     full = SeededRng(3).integers(np.arange(500), 500)
-    assert _fisher_yates_batch(full).tolist() == dict_loop_batch(full) == list(range(500))
+    kernel = _fisher_yates_batch(full, np.arange(500)).tolist()
+    assert kernel == dict_loop_batch(full) == list(range(500))
     # The property tests of the sampler draw sizes up to 200; both paths
     # must be inside that range.
     assert 1 < _LOOP_FREE_MIN_SIZE <= 200
+
+
+class FixedOffsets:
+    """A stand-in generator whose one bounded draw returns given offsets."""
+
+    def __init__(self, offsets):
+        self.offsets = offsets
+
+    def integers(self, low, high):
+        assert low.tolist() == list(range(self.offsets.size)) and high > self.offsets.max()
+        return self.offsets.copy()
+
+
+def test_sampler_routes_draws_past_the_int64_key_limit_to_the_dict_loop():
+    # The kernel's keys r_j * k + j reach N * k - 1. At N = (2**63 - 1) // k
+    # they all fit in int64 and the kernel must give the dict loop's batch;
+    # one component more, N * k passes 2**63 - 1 and the sampler must take
+    # the dict loop. Offsets at the top slot make the largest keys, which
+    # would wrap around in the kernel; drawn offsets check the typical case.
+    for size in (100, 1025):
+        below = (2**63 - 1) // size
+        for n in (below, below + 1):
+            top = np.full(size, n - 1)
+            drawn = [SeededRng(seed).integers(np.arange(size), n) for seed in range(5)]
+            for offsets in (top, np.maximum(np.arange(size), n - 1 - np.arange(size)), *drawn):
+                expected = dict_loop_batch(offsets)
+                batch = sample_without_replacement(FixedOffsets(offsets), n, size)
+                assert batch.indices == tuple(expected)
+                if n == below:
+                    assert _fisher_yates_batch(offsets, np.arange(size)).tolist() == expected
 
 
 def test_sample_without_replacement_huge_population():

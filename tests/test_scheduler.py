@@ -242,3 +242,21 @@ def test_rule_validation():
         BatchSizeRule(Scheme.WITHOUT_REPLACEMENT, VarianceCap(1.0), 5, floor=6)
     with pytest.raises(ValueError):
         BatchSizeRule(Scheme.WITHOUT_REPLACEMENT, VarianceCap(1.0), 0)
+
+
+def test_schedule_and_size_steps_take_integer_counts():
+    # An iteration index and a previous size are counts: numpy integers are
+    # taken as their value, and a float, integral or not, is refused.
+    schedule = EpsilonSchedule.geometric(1.0, 0.5)
+    rule = BatchSizeRule(Scheme.WITHOUT_REPLACEMENT, VarianceCap(1.0), 10)
+    assert epsilon_at(schedule, np.int64(3)) == epsilon_at(schedule, 3) == 0.125
+    assert next_batch_size(rule, schedule, np.int64(3), np.int64(2)) == next_batch_size(
+        rule, schedule, 3, 2
+    )
+    for bad in (1.5, 2.0):
+        with pytest.raises(ValueError, match="iteration index must be an integer >= 0"):
+            epsilon_at(schedule, bad)
+        with pytest.raises(ValueError, match="previous size must be an integer >= 1"):
+            next_batch_size(rule, schedule, 0, bad + 1)
+    with pytest.raises(ValueError, match="previous size must be in"):
+        next_batch_size(rule, schedule, 0, np.int64(11))
