@@ -18,8 +18,9 @@ import numpy as np
 
 from .finite_sum import (
     DatasetFormatError,
+    _least_squares,
+    _load_table,
     component_gradient_variance,
-    load_dataset,
     make_least_squares,
     make_logistic,
 )
@@ -211,9 +212,9 @@ def _resolve_problem(source: str):
         matrix = gen.normal(size=(40, 2))
         labels = np.where(matrix @ np.array([1.5, -2.0]) >= 0.0, 1.0, -1.0)
         return make_logistic(matrix, labels)
-    matrix, labels = load_dataset(source)
-    print(f"train: loaded {source}: N={matrix.shape[0]}, d={matrix.shape[1]}")
-    return make_least_squares(matrix, labels)
+    table = _load_table(source)
+    print(f"train: loaded {source}: N={table.shape[0]}, d={table.shape[1] - 1}")
+    return _least_squares(table)
 
 
 def cmd_train(args: argparse.Namespace) -> int:

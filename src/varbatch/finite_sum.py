@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .sampling import Batch, _check_count
+from .sampling import Batch, _check_count, _check_in_range, _integer_array
 
 
 class DatasetFormatError(ValueError):
@@ -63,13 +63,14 @@ class FiniteSumProblem:
     def gradients(self, indices, x: np.ndarray) -> np.ndarray:
         """Component gradients at ``x``, one row per index: a new (k, d) array.
 
-        ``indices`` is an integer array (repeats allowed, negative indices
-        wrap) or a slice of the population; ``slice(None)`` selects every
-        component in index order. An array of any other dtype, boolean
-        included, raises ``ValueError`` before anything is evaluated; an
-        empty sequence is accepted. Built-in problems gather the rows with
-        ``ndarray.take``. Evaluator failures, and an index past either end,
-        raise :class:`EvaluationError` chained to the original error.
+        ``indices`` is an array of integers that fit ``np.intp`` (repeats
+        allowed, negative indices wrap) or a slice of the population;
+        ``slice(None)`` selects every component in index order. Any other
+        array, boolean or uint64 included, raises ``ValueError`` before
+        anything is evaluated; an empty sequence is accepted. Built-in
+        problems gather the rows with ``ndarray.take``. Evaluator failures,
+        and an index past either end, raise :class:`EvaluationError` chained
+        to the original error.
         """
         rows, s = self._gradient_rows(indices, x)
         # A multiply, not einsum, which would turn a -0.0 product into +0.0.
@@ -114,7 +115,7 @@ class FiniteSumProblem:
 def _guarded(batched, indices, x: np.ndarray):
     """``batched(indices, x)`` on checked indices; any failure raises :class:`EvaluationError`."""
     if not isinstance(indices, slice):
-        indices = _index_array(indices)
+        indices = _integer_array(indices)
     try:
         return batched(indices, x)
     except Exception as exc:
@@ -124,21 +125,6 @@ def _guarded(batched, indices, x: np.ndarray):
 # Every component, in index order. A basic slice, so the built-in formulas
 # read their data without copying it.
 _ALL = slice(None)
-
-
-def _index_array(indices) -> np.ndarray:
-    """``indices`` as an integer array; any other dtype raises ``ValueError``.
-
-    A boolean array is refused rather than read: numpy indexing reads it as
-    a mask, while ``take`` and the callable adapter read True/False as 1/0.
-    An empty sequence, which numpy reads as float, is accepted.
-    """
-    arr = np.asarray(indices)
-    if arr.dtype.kind in "iu":
-        return arr
-    if arr.size == 0:
-        return arr.astype(np.intp)
-    raise ValueError(f"component indices must be integers, got an array of {arr.dtype}")
 
 
 def _rows(data: np.ndarray, indices) -> np.ndarray:
@@ -168,7 +154,7 @@ class _RowFormula:
     scaled: bool = False
 
     def __call__(self, i: int, x: np.ndarray):
-        rows = self.rows(_index_array([i]), x)
+        rows = self.rows(_integer_array([i]), x)
         if self.scaled:
             features, s = rows
             return features[0] * s[0]
@@ -236,11 +222,7 @@ def batch_gradient(problem: FiniteSumProblem, x, batch: Batch) -> np.ndarray:
     """
     x = _as_point(problem, x)
     indices = batch.array
-    if indices[-1] >= problem.n_components:
-        raise ValueError(
-            f"batch index {indices[-1]} out of range for "
-            f"{problem.n_components} components"
-        )
+    _check_in_range(indices[-1], problem.n_components)
     return _gradient_mean(problem, indices, x)
 
 
@@ -345,6 +327,11 @@ def make_least_squares(matrix, targets) -> FiniteSumProblem:
     ``matrix`` is N x d (one row per component), ``targets`` length N. The
     analytic component gradient is a_i * (a_i @ x - b_i).
     """
+    return _least_squares(_data(matrix, targets, "targets"))
+
+
+def _least_squares(table: np.ndarray) -> FiniteSumProblem:
+    """:func:`make_least_squares` over its (N, d + 1) table, held without a copy."""
 
     def residual(rows, b, x: np.ndarray) -> np.ndarray:
         return rows @ x - b
@@ -353,7 +340,7 @@ def make_least_squares(matrix, targets) -> FiniteSumProblem:
         r = residual(rows, b, x)
         return 0.5 * r * r
 
-    return _table_problem(_data(matrix, targets, "targets"), value, residual, "least-squares")
+    return _table_problem(table, value, residual, "least-squares")
 
 
 def make_logistic(matrix, labels) -> FiniteSumProblem:
@@ -395,6 +382,12 @@ def load_dataset(path) -> tuple[np.ndarray, np.ndarray]:
     cells (``nan``, ``inf``) raise :class:`DatasetFormatError` naming the
     first offending line. Both results are views of one (N, d + 1) array.
     """
+    table = _load_table(path)
+    return table[:, :-1], table[:, -1]
+
+
+def _load_table(path) -> np.ndarray:
+    """The C-ordered (N, d + 1) float table that :func:`load_dataset` splits."""
     # Undecodable bytes become unparsable cells, so a binary file is a format error.
     with open(path, errors="surrogateescape") as fh:
         lines = (line for line in map(str.strip, fh) if line and not line.startswith("#"))
@@ -408,7 +401,7 @@ def load_dataset(path) -> tuple[np.ndarray, np.ndarray]:
             data = None
     if data is None or data.shape[1] < 2 or not np.isfinite(data).all():
         raise _first_format_error(path, separator)
-    return data[:, :-1], data[:, -1]
+    return data
 
 
 def _parse_rows(lines, separator) -> np.ndarray:

@@ -2,18 +2,20 @@
 
 Two schemes are supported: independent draws with replacement, and uniform
 subsets without replacement. Batches are kept in canonical sorted form so
-multiset/subset equality is structural. A sampled batch holds the sorted
-index array its sampler computed, which gradient evaluation reads as it is;
-its tuple of Python ints is built only when read. For small populations the
-full batch space can be enumerated together with each batch's exact
-probability; enumerated batches hold their tuples. The exact-expectation
-oracles in :mod:`varbatch.variance` read the same space, in the same order,
-as numpy index blocks whose rows are decoded from their int64 lexicographic
-ranks (:func:`_subset_blocks`), so they refuse a space of more than
+multiset/subset equality is structural. ``Batch(...)`` and
+:func:`make_batch` check indices once, as an array, and hold a read-only
+copy of it; a sampler's batch holds the sorted array it computed, which
+gradient evaluation reads as it is; an enumerated batch holds its tuple.
+For small populations the full batch space can be enumerated together
+with each batch's exact probability. The exact-expectation oracles in
+:mod:`varbatch.variance` read the same space, in the same order, as numpy
+index blocks whose rows are decoded from their int64 lexicographic ranks
+(:func:`_subset_blocks`), so they refuse a space of more than
 ``(2**63 - 1) // M`` batches, M as in :func:`_subset_population`.
 
-Every module checks its counts with :func:`_check_count`, and which batch
-sizes a scheme admits with :func:`_subset_population`.
+Every module checks its counts with :func:`_check_count`, which batch
+sizes a scheme admits with :func:`_subset_population`, index arrays with
+:func:`_integer_array` and a batch's upper bound with :func:`_check_in_range`.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from dataclasses import FrozenInstanceError
 from enum import Enum
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement, groupby, repeat
-from typing import Iterable, Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -54,6 +56,29 @@ class EnumerationCapError(Exception):
 
 
 _INTEGERS = (int, np.integer)  # built once: the samplers check on every draw
+_INTP = np.dtype(np.intp)
+
+
+def _integer_array(indices) -> np.ndarray:
+    """``indices`` as an array of integers that fit ``np.intp``, else ``ValueError``.
+
+    The one index-type rule of batches and gradient evaluation: boolean is
+    refused, not read as a mask or as 0/1, and float is not truncated. An
+    empty sequence, which numpy reads as float, gives an empty ``np.intp`` array.
+    """
+    array = np.asarray(indices)
+    dtype = array.dtype
+    if dtype.kind in "iu" and dtype <= _INTP:  # <=: casts safely, so not uint64
+        return array
+    if not array.size:
+        return array.astype(np.intp)
+    raise ValueError(f"component indices must be integers that fit {_INTP}, got {dtype}")
+
+
+def _check_in_range(last, n_components: int) -> None:
+    """Refuse a batch whose largest index, ``last``, is not below ``n_components``."""
+    if last >= n_components:
+        raise ValueError(f"batch index {last} out of range for {n_components} components")
 
 
 def _check_count(value, name: str, least: int) -> None:
@@ -112,40 +137,27 @@ class Batch:
     A batch is immutable and has two views of its indices: ``indices``, a
     tuple of Python ints, and ``array``, the same indices as a sorted,
     read-only ``np.intp`` array. A missing view is built on first read and
-    kept: sampled batches hold the array, which gradient evaluation reads,
-    enumerated ones the tuple, and checked ones both, since the checks run
-    over the array. Equality, hashing and repr use ``indices`` and
+    kept. There are three routes to a batch: ``Batch(...)`` (and
+    :func:`make_batch`) checks a sequence or 1-D array of indices, once, as
+    an array, and holds a copy as its array; a sampler's batch holds the
+    array it computed, which gradient evaluation reads; an enumerated batch
+    holds its tuple. Equality, hashing and repr use ``indices`` and
     ``scheme``.
     """
 
-    def __init__(self, indices: tuple[int, ...], scheme: Scheme):
-        fields = self.__dict__
-        fields["indices"] = indices
-        fields["scheme"] = scheme
-        self.__post_init__()
-
-    def __post_init__(self):
-        """Check the canonical form, over the array, and keep the array."""
-        if not self.indices:
-            raise ValueError("batch must contain at least one index")
-        array = np.asarray(self.indices)
-        if array.ndim != 1 or not np.can_cast(array.dtype, np.intp):
-            raise ValueError(
-                f"component indices must be integers in the index range, got {self.indices!r}"
-            )
-        array = array.astype(np.intp)
+    def __init__(self, indices: Sequence[int] | np.ndarray, scheme: Scheme):
+        array = _integer_array(indices).astype(np.intp)  # a copy: the caller's is not kept
+        if array.ndim != 1 or not array.size:
+            raise ValueError(f"a batch needs a nonempty 1-D sequence of indices, got {indices!r}")
         if array[0] < 0:
-            raise ValueError(f"negative component index {self.indices[0]}")
+            raise ValueError(f"negative component index {array[0]}")
         steps = np.diff(array)
-        if self.scheme is Scheme.WITHOUT_REPLACEMENT:
-            if not (steps > 0).all():
-                raise ValueError(
-                    "without-replacement batch requires strictly increasing indices"
-                )
-        elif not (steps >= 0).all():
+        if scheme is Scheme.WITHOUT_REPLACEMENT and not (steps > 0).all():
+            raise ValueError("without-replacement batch requires strictly increasing indices")
+        if not (steps >= 0).all():
             raise ValueError("with-replacement batch requires nondecreasing indices")
         array.setflags(write=False)
-        self.__dict__["array"] = array
+        self.__dict__.update(array=array, scheme=scheme)
 
     # Cached properties, not __getattr__, which would slow every attribute
     # read of the millions of batches that enumeration builds.
@@ -188,7 +200,7 @@ class Batch:
 def _canonical(indices: tuple[int, ...], scheme: Scheme) -> Batch:
     """A batch from indices that are canonical by construction, built unchecked.
 
-    The caller guarantees what ``Batch.__post_init__`` would check: a
+    The caller guarantees what ``Batch(...)`` would check: a
     nonempty tuple of nonnegative Python ints in the order ``scheme``
     requires. The enumerator produces such tuples; the batch builds its
     array on first read. Samplers use :func:`_sampled`, and anything else
@@ -215,9 +227,9 @@ def _sampled(array: np.ndarray, scheme: Scheme) -> Batch:
     return batch
 
 
-def make_batch(indices: Iterable[int], scheme: Scheme) -> Batch:
-    """Build a batch from indices in any order, canonicalizing as needed."""
-    return Batch(tuple(sorted(int(i) for i in indices)), scheme)
+def make_batch(indices: Sequence[int] | np.ndarray, scheme: Scheme) -> Batch:
+    """``Batch`` of a sequence or 1-D array of indices in any order, sorted."""
+    return Batch(np.sort(indices) if np.ndim(indices) == 1 else indices, scheme)
 
 
 def sample_with_replacement(rng: SeededRng, n_components: int, batch_size: int) -> Batch:
@@ -414,10 +426,7 @@ def batch_probability(batch: Batch, n_components: int) -> float:
 
 def _index_probability(indices, scheme: Scheme, n_components: int) -> float:
     """:func:`batch_probability` of the canonical index sequence ``indices``."""
-    if indices[-1] >= n_components:
-        raise ValueError(
-            f"batch index {indices[-1]} out of range for {n_components} components"
-        )
+    _check_in_range(indices[-1], n_components)
     k = len(indices)
     if scheme is Scheme.WITHOUT_REPLACEMENT:
         return 1 / math.comb(n_components, k)

@@ -10,7 +10,7 @@ PALETTE = ("#d62728", "#1f77b4", "#2ca02c", "#9467bd")
 WIDTH, HEIGHT = 720, 480
 
 
-def render_line_chart(series, xlabel: str, ylabel: str, title: str | None = None) -> str:
+def render_line_chart(series, xlabel: str, ylabel: str, title: str) -> str:
     """Render ``series`` (label, xs, ys triples) as a standalone SVG string."""
     data = [
         (label, [float(v) for v in xs], [float(v) for v in ys])
@@ -30,9 +30,7 @@ def render_line_chart(series, xlabel: str, ylabel: str, title: str | None = None
     ymin -= pad
     ymax += pad
 
-    left, right = 72.0, 24.0
-    top = 24.0 if title is None else 48.0
-    bottom = 56.0
+    left, right, top, bottom = 72.0, 24.0, 48.0, 56.0
     plot_w = WIDTH - left - right
     plot_h = HEIGHT - top - bottom
 
@@ -46,12 +44,9 @@ def render_line_chart(series, xlabel: str, ylabel: str, title: str | None = None
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         '<rect width="100%" height="100%" fill="white"/>',
+        f'<text x="{WIDTH / 2:.2f}" y="22" text-anchor="middle" '
+        f'font-size="15" font-family="sans-serif">{title}</text>',
     ]
-    if title is not None:
-        parts.append(
-            f'<text x="{WIDTH / 2:.2f}" y="22" text-anchor="middle" '
-            f'font-size="15" font-family="sans-serif">{title}</text>'
-        )
     x_axis_y = top + plot_h
     parts.append(
         f'<line x1="{left:.2f}" y1="{x_axis_y:.2f}" x2="{left + plot_w:.2f}" '

@@ -56,14 +56,18 @@ def test_batch_canonical_form_enforced():
 
 
 def test_batch_rejects_indices_outside_the_index_type():
-    for indices in [(1.5, 2), (0, 2**63), (2**70,), ("a",)]:
+    # Floats are refused, not truncated, and booleans are not read as 0/1.
+    for indices in [(1.5, 2), (0, 2**63), (2**63,), (2**70,), ("a",), (False, True)]:
         with pytest.raises(ValueError, match="integers"):
             Batch(indices, WITH)
+    for indices in ([0.5, 2], [True, False], np.array([1, 2], np.uint64)):
+        with pytest.raises(ValueError, match="integers"):
+            make_batch(indices, WITH)
 
 
 def test_batch_views_agree_and_are_built_once():
-    # Sampled batches hold the array, enumerated ones the tuple and checked
-    # ones both; a missing view is built on first read, read-only, and kept.
+    # Sampled and checked batches hold the array, enumerated ones the tuple;
+    # a missing view is built on first read, read-only, and kept.
     rng = SeededRng(3)
     built = [
         sample_with_replacement(rng, 50, 7),
@@ -80,11 +84,26 @@ def test_batch_views_agree_and_are_built_once():
         assert batch == Batch(batch.indices, batch.scheme)
         assert hash(batch) == hash(Batch(batch.indices, batch.scheme))
         assert repr(batch) == f"Batch(indices={batch.indices!r}, scheme={batch.scheme!r})"
+    # Any sequence or 1-D integer array gives the same batch, of Python ints;
+    # a checked batch holds a copy of the caller's array and leaves it writeable.
+    array = np.array([1, 4])
+    expected = Batch((1, 4), WITHOUT)
+    for indices in [[1, 4], range(1, 5, 3), array, (np.int64(1), np.int64(4))]:
+        batch = Batch(indices, WITHOUT)
+        assert batch == expected and hash(batch) == hash(expected)
+        assert repr(batch) == repr(expected)
+        assert all(type(i) is int for i in batch.indices)
+    assert array.flags.writeable and not np.shares_memory(array, Batch(array, WITHOUT).array)
 
 
 def test_make_batch_sorts():
     assert make_batch([4, 0, 2], WITHOUT).indices == (0, 2, 4)
     assert make_batch([3, 1, 3], WITH).indices == (1, 3, 3)
+    array = np.array([3, 1, 3])
+    for indices in [(3, 1, 3), array, [np.int64(3), np.int64(1), 3]]:
+        assert make_batch(indices, WITH) == Batch((1, 3, 3), WITH)
+    assert make_batch(range(3, 0, -1), WITHOUT).indices == (1, 2, 3)
+    assert array.tolist() == [3, 1, 3] and array.flags.writeable
 
 
 def test_sample_with_replacement_single_item_population():

@@ -331,7 +331,7 @@ def test_oracles_build_no_batches(monkeypatch, random_ls):
         raise AssertionError("an enumeration oracle built a Batch")
 
     monkeypatch.setattr(sampling, "_canonical", build_batch)
-    monkeypatch.setattr(Batch, "__post_init__", build_batch)
+    monkeypatch.setattr(Batch, "__init__", build_batch)
     observed = [
         [exact_batch_variance(problem, x, size, scheme) for size in sizes]
         for scheme in (WITHOUT, WITH)
