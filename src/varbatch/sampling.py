@@ -146,6 +146,8 @@ class Batch:
     """
 
     def __init__(self, indices: Sequence[int] | np.ndarray, scheme: Scheme):
+        if not isinstance(scheme, Scheme):
+            raise ValueError(f"a batch's scheme must be a Scheme, got {scheme!r}")
         array = _integer_array(indices).astype(np.intp)  # a copy: the caller's is not kept
         if array.ndim != 1 or not array.size:
             raise ValueError(f"a batch needs a nonempty 1-D sequence of indices, got {indices!r}")
@@ -430,9 +432,18 @@ def _index_probability(indices, scheme: Scheme, n_components: int) -> float:
     k = len(indices)
     if scheme is Scheme.WITHOUT_REPLACEMENT:
         return 1 / math.comb(n_components, k)
-    orderings = math.factorial(k)
+    # A Python int power: a numpy integer N would wrap around in int64.
+    return _multiset_probability(indices, math.factorial(k), int(n_components) ** k)
+
+
+def _multiset_probability(indices, orderings: int, draws: int) -> float:
+    """``orderings / prod(multiplicity!) / draws`` for sorted ``indices``.
+
+    With ``orderings`` = k! and ``draws`` = N**k, the with-replacement
+    probability of the multiset; a caller weighing many multisets of one
+    space computes the two once.
+    """
     # Sorted indices sit in runs, one per distinct value, as long as its multiplicity.
     for _, run in groupby(indices):
         orderings //= math.factorial(len(list(run)))
-    # A Python int power: a numpy integer N would wrap around in int64.
-    return orderings / int(n_components) ** k
+    return orderings / draws

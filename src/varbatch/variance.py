@@ -13,9 +13,11 @@ The oracles read the batch space in the order of
 rather than ``Batch`` objects: ``(m, N_S)`` arrays of at most
 ``_CHUNK_INDICES`` indices, so memory stays bounded whatever the size of the
 batch space. Each batch is weighted by its exact
-:func:`~varbatch.sampling.batch_probability`, and the weighted terms are
-added one at a time in enumeration order, so a result is bit-identical to a
-per-batch Python loop over the same batches.
+:func:`~varbatch.sampling.batch_probability`, which with replacement is
+computed per chunk in float64 wherever that is exact (see
+:func:`_weighted_chunks`), and the weighted terms are added one at a time in
+enumeration order, so a result is bit-identical to a per-batch Python loop
+over the same batches.
 
 Every batch mean, and the full-gradient mean each estimate is centred on,
 adds its rows in index order, with the reduction that
@@ -23,6 +25,8 @@ adds its rows in index order, with the reduction that
 :func:`~varbatch.finite_sum.batch_gradient` use.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -41,6 +45,7 @@ from .sampling import (
     SeededRng,
     _check_count,
     _index_probability,
+    _multiset_probability,
     _subset_blocks,
     _subset_population,
     sample_with_replacement,
@@ -50,6 +55,8 @@ from .sampling import (
 # Indices per enumeration chunk (2048 batches of 8): a chunk's index array
 # stays within 128 kB and its gathered gradient rows within 128*d kB.
 _CHUNK_INDICES = 16_384
+# Every integer up to 2**53 is a float64; while k! is below it, so is each divisor of k!.
+_EXACT_FLOATS = 2**53
 
 
 def analytic_variance_with_replacement(var_comp: float, batch_size: int) -> float:
@@ -93,6 +100,13 @@ def _weighted_chunks(n_components: int, batch_size: int, scheme: Scheme, cap):
     :func:`~varbatch.sampling.batch_probability` of row i. The cap, and the
     limit of the chunks' int64 rank decode, are checked at the call, before
     any chunk is built.
+
+    With replacement a multiset's weight is k! / prod(multiplicity!) / N**k.
+    While k! < 2**53 (k <= 18) and N**k is a float64, each chunk's weights
+    come in float64 from the rows' run positions, equal to
+    ``batch_probability`` bit for bit. Otherwise the rows are keyed by where
+    their runs start, and each new key's weight is computed in Python
+    integers from one of its rows.
     """
     population = _subset_population(n_components, batch_size, scheme, cap, ranked=True)
     rows = max(1, _CHUNK_INDICES // batch_size)
@@ -102,12 +116,33 @@ def _weighted_chunks(n_components: int, batch_size: int, scheme: Scheme, cap):
         weight = _index_probability(range(batch_size), scheme, n_components)
         return ((idx, np.full(len(idx), weight)) for idx in chunks)
     offsets = np.arange(batch_size)
+    orderings = math.factorial(batch_size)
+    draws = int(n_components) ** batch_size  # a numpy N would wrap in int64
+    if orderings < _EXACT_FLOATS and float(draws) == draws:
+        orderings, draws = float(orderings), float(draws)
+
+        def weigh(idx: np.ndarray) -> tuple:
+            idx -= offsets  # multisets from subsets of range(N + k - 1): b_j = a_j - j
+            # Column j's place in its run is 1 where the run starts, else one
+            # more than column j - 1's; the product P of the places is
+            # prod(multiplicity!), which divides k!. So every partial product
+            # and k! / P are exact integers, and the one division by N**k
+            # rounds as the integer division in batch_probability does.
+            columns = idx.T.copy()
+            place = np.ones(len(idx))
+            product = np.ones(len(idx))
+            for same in columns[1:] == columns[:-1]:
+                place *= same
+                place += 1
+                product *= place
+            return idx, orderings / product / draws
+
+        return map(weigh, chunks)
     # A multiset's probability depends only on the columns where its runs of
     # equal indices start, so it is computed once per such pattern and call.
     by_key: dict = {}
 
     def weigh(idx: np.ndarray) -> tuple:
-        # Multisets from subsets of range(N + k - 1): b_j = a_j - j.
         idx -= offsets
         keys = _run_keys(idx)
         distinct = _distinct(keys)
@@ -119,7 +154,7 @@ def _weighted_chunks(n_components: int, batch_size: int, scheme: Scheme, cap):
             row[inverse] = np.arange(len(idx))
             for code, i in zip(codes, row.tolist()):
                 if code not in by_key:
-                    by_key[code] = _index_probability(idx[i].tolist(), scheme, n_components)
+                    by_key[code] = _multiset_probability(idx[i].tolist(), orderings, draws)
         return idx, np.array(list(map(by_key.__getitem__, codes))).take(inverse)
 
     return map(weigh, chunks)
@@ -146,7 +181,7 @@ def _run_keys(idx: np.ndarray) -> np.ndarray:
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
     """The sorted distinct values of ``keys``."""
-    # np.unique does the same with more fixed cost, which verify pays per cell.
+    # np.unique does the same with more fixed cost, which each chunk would pay.
     ordered = np.sort(keys)
     first = np.empty(len(ordered), bool)
     first[0] = True

@@ -52,6 +52,13 @@ def test_batch_canonical_form_enforced():
         Batch((), WITHOUT)
     with pytest.raises(ValueError):
         Batch((-1, 2), WITHOUT)
+    # A scheme's flag, or anything else but a Scheme, is refused, not read as
+    # with replacement.
+    for scheme in ("without", "with", None):
+        with pytest.raises(ValueError, match="Scheme"):
+            Batch((1, 1), scheme)
+    with pytest.raises(ValueError, match="Scheme"):
+        make_batch([2, 1], "x")
     assert Batch((1, 1, 3), WITH).size == 3
 
 

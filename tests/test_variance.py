@@ -1,6 +1,7 @@
 import math
 import sys
 import tracemalloc
+from collections import deque
 from itertools import combinations, combinations_with_replacement, islice
 
 import numpy as np
@@ -410,6 +411,51 @@ def test_chunk_weights_exact_past_one_word_of_run_flags():
     weights = [w for _, chunk in chunks for w in chunk.tolist()]
     batches = enumerate_batches(2, 100, WITH, cap=None)
     assert weights == [batch_probability(b, 2) for b in batches]
+
+
+@pytest.mark.parametrize(
+    ("n", "size", "keyed"), [(7, 18, False), (8, 18, False), (9, 18, True), (2, 19, True)]
+)
+def test_chunk_weights_exact_on_both_sides_of_the_float_path(monkeypatch, n, size, keyed):
+    # 18! < 2**53, and 7**18 and 8**18 = 2**54 are floats: these spaces take
+    # the float path. 9**18 is not a float and 19! > 2**53: these are keyed.
+    # The blocks are the space's first and last chunks, built by itertools
+    # (the rank decode that builds them otherwise is tested above), so the
+    # millions of rows between are not decoded.
+    rows = variance._CHUNK_INDICES // size
+    tail = math.comb(n + size - 1, size) % rows or rows
+    # The multisets whose least index is at least `low` close the space.
+    low = max(t for t in range(n) if math.comb(n - t + size - 1, size) >= tail)
+    ends = [
+        list(islice(combinations_with_replacement(range(n), size), rows)),
+        list(deque(combinations_with_replacement(range(low, n), size), maxlen=tail)),
+    ]
+    blocks = [np.array(batches) + np.arange(size) for batches in ends]
+    monkeypatch.setattr(variance, "_subset_blocks", lambda *args: iter(blocks))
+    run_keys, keyed_chunks = variance._run_keys, []
+    monkeypatch.setattr(variance, "_run_keys", lambda idx: keyed_chunks.append(1) or run_keys(idx))
+    chunks = list(variance._weighted_chunks(n, size, WITH, None))
+    assert len(chunks) == 2 and len(keyed_chunks) == 2 * keyed
+    for batches, (idx, weights) in zip(ends, chunks):
+        assert [tuple(row) for row in idx.tolist()] == batches
+        assert weights.tolist() == [batch_probability(Batch(b, WITH), n) for b in batches]
+
+
+def test_keyed_weights_give_the_float_path_oracles(monkeypatch):
+    # Every with-replacement cell of verify --n-max 6, on the same problems,
+    # first on the float path, then with every space forced onto the keyed one.
+    rng = SeededRng(0)
+    cells = []
+    for n in range(1, 7):
+        problem = make_least_squares(rng.normal(size=(n, 2)), rng.normal(size=n))
+        x = rng.normal(size=2)
+        cells += [(problem, x, size) for size in range(1, n + 1)]
+    oracles = [exact_batch_variance(problem, x, size, WITH) for problem, x, size in cells]
+    monkeypatch.setattr(variance, "_EXACT_FLOATS", 1)
+    run_keys, keyed_chunks = variance._run_keys, []
+    monkeypatch.setattr(variance, "_run_keys", lambda idx: keyed_chunks.append(1) or run_keys(idx))
+    assert [exact_batch_variance(problem, x, size, WITH) for problem, x, size in cells] == oracles
+    assert len(keyed_chunks) >= len(cells)
 
 
 def test_first_chunk_of_a_large_space_stays_small():
