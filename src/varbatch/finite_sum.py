@@ -16,6 +16,8 @@ g_i(x) = s_i(x) * a_i, so the primitive gives one gather of feature rows and
 their scales, and means need no (k, d) gradient block. The gather is the
 enumeration oracles' helper: a slice is a view, and an index array goes
 through ``ndarray.take``, the bytes of ``table[indices]`` in less time.
+Values and scales share one residual or margin, so ``run`` monitors a
+built-in problem in one pass (``_one_pass_stats``).
 """
 from __future__ import annotations
 
@@ -234,15 +236,48 @@ def gradient_stats(problem: FiniteSumProblem, x) -> GradientStats:
     array is held.
     """
     x = _as_point(problem, x)
-    rows, s = problem._gradient_rows(_ALL, x)
+    return _block_stats(*problem._gradient_rows(_ALL, x), problem.n_components)
+
+
+def _block_stats(rows: np.ndarray, s: np.ndarray | None, n: int) -> GradientStats:
+    """:func:`gradient_stats` of the gradient rows and scales of all ``n`` components."""
     # The gradient block by einsum, faster than a multiply over the table's
     # strided feature columns. It adds each product into a zeroed output, so
     # a -0.0 product comes out +0.0: the mean and the sum of squares below do
     # not see the sign of a zero.
     grads = rows if s is None else np.einsum("ij,i->ij", rows, s)
-    mean = _row_sum(grads) / problem.n_components
+    mean = _row_sum(grads) / n
     grads -= mean
-    return GradientStats(mean, float(np.vdot(grads, grads)) / problem.n_components)
+    return GradientStats(mean, float(np.vdot(grads, grads)) / n)
+
+
+def _row_norms(problem: FiniteSumProblem) -> np.ndarray | None:
+    """Each ||a_i||**2 if one :class:`_Table` gives the value and gradient, else None."""
+    table = getattr(getattr(problem.component_gradient, "rows", None), "__self__", None)
+    if not isinstance(table, _Table) or problem.component_value != _RowFormula(table.values):
+        return None
+    features = table.data[:, :-1]
+    return np.einsum("ij,ij->i", features, features)
+
+
+def _one_pass_stats(problem: FiniteSumProblem, x: np.ndarray, norms: np.ndarray):
+    """``(gradient_stats(problem, x), objective_value(problem, x))`` from one table pass.
+
+    The full gradient and the objective are those of :func:`full_gradient`
+    and :func:`objective_value`, bit for bit. The variance is
+    mean(s_i**2 ||a_i||**2) - ||g||**2 where ||g||**2 <= Var, which bounds its
+    rounding to a few ulps of Var; elsewhere, or past an overflow, it is the
+    centred block's, as in :func:`gradient_stats`. ``norms`` is :func:`_row_norms`.
+    """
+    table = problem.component_gradient.rows.__self__
+    rows, s, values = _guarded(table.rows_and_values, _ALL, x)
+    n = problem.n_components
+    mean = _row_sum(rows, s) / n
+    square = np.einsum("j,j->", mean, mean)
+    variance = np.einsum("i,i,i->", s, s, norms) / n - square
+    if not square <= variance < np.inf:
+        variance = _block_stats(rows, s, n).component_variance
+    return GradientStats(mean, float(variance)), float(values.mean())
 
 
 def component_gradient_variance(problem: FiniteSumProblem, x) -> float:
@@ -295,30 +330,44 @@ def _data(matrix, column, name: str) -> np.ndarray:
     return table
 
 
-def _table_problem(table: np.ndarray, value, scale, label: str) -> FiniteSumProblem:
-    """Problem over the rows of an (N, d + 1) table, with g_i(x) = s_i(x) * a_i.
+@dataclass(frozen=True, eq=False)
+class _Table:
+    """A built-in formula over the rows of an (N, d + 1) table, and its problem.
 
-    ``value(features, column, x)`` and ``scale(features, column, x)`` map
-    gathered table rows, split into features and last column, to the
-    component values and the per-row gradient scales s_i.
+    ``link(features, column, x)`` is the rows' residual or margin, which
+    ``value(t, column)`` and ``scale(t, column)`` map to the component values
+    and the gradient scales s_i, g_i(x) = s_i(x) * a_i: values, gradients
+    and both at once share one evaluation of it.
     """
-    n, d = table.shape[0], table.shape[1] - 1
 
-    def split(indices):
-        rows = _rows(table, indices)
-        return rows[:, :d], rows[:, d]
+    data: np.ndarray
+    link: Callable
+    value: Callable
+    scale: Callable
 
-    def values(indices, x: np.ndarray) -> np.ndarray:
-        return value(*split(indices), x)
+    def _linked(self, indices, x: np.ndarray):
+        rows = _rows(self.data, indices)
+        features, column = rows[:, :-1], rows[:, -1]
+        return features, column, self.link(features, column, x)
 
-    def gradient_rows(indices, x: np.ndarray):
-        features, column = split(indices)
-        return features, scale(features, column, x)
+    def values(self, indices, x: np.ndarray) -> np.ndarray:
+        _, column, t = self._linked(indices, x)
+        return self.value(t, column)
 
-    return FiniteSumProblem(
-        d, n, _RowFormula(values), _RowFormula(gradient_rows, scaled=True),
-        label=f"{label}(N={n}, d={d})",
-    )
+    def gradient_rows(self, indices, x: np.ndarray):
+        features, column, t = self._linked(indices, x)
+        return features, self.scale(t, column)
+
+    def rows_and_values(self, indices, x: np.ndarray):
+        features, column, t = self._linked(indices, x)
+        return features, self.scale(t, column), self.value(t, column)
+
+    def problem(self, label: str) -> FiniteSumProblem:
+        n, d = self.data.shape[0], self.data.shape[1] - 1
+        return FiniteSumProblem(
+            d, n, _RowFormula(self.values), _RowFormula(self.gradient_rows, scaled=True),
+            label=f"{label}(N={n}, d={d})",
+        )
 
 
 def make_least_squares(matrix, targets) -> FiniteSumProblem:
@@ -336,11 +385,8 @@ def _least_squares(table: np.ndarray) -> FiniteSumProblem:
     def residual(rows, b, x: np.ndarray) -> np.ndarray:
         return rows @ x - b
 
-    def value(rows, b, x: np.ndarray) -> np.ndarray:
-        r = residual(rows, b, x)
-        return 0.5 * r * r
-
-    return _table_problem(table, value, residual, "least-squares")
+    squares = _Table(table, residual, lambda r, b: 0.5 * r * r, lambda r, b: r)
+    return squares.problem("least-squares")
 
 
 def make_logistic(matrix, labels) -> FiniteSumProblem:
@@ -358,16 +404,15 @@ def make_logistic(matrix, labels) -> FiniteSumProblem:
         margin = labels * (rows @ x)
         return margin, np.exp(-np.abs(margin))
 
-    def value(rows, labels, x: np.ndarray) -> np.ndarray:
-        margin, e = margins(rows, labels, x)
+    def value(margins, labels) -> np.ndarray:
+        margin, e = margins
         return np.where(margin > 0, 0.0, -margin) + np.log1p(e)
 
-    def scale(rows, labels, x: np.ndarray) -> np.ndarray:
-        margin, e = margins(rows, labels, x)
-        slope = np.where(margin > 0, e, 1.0) / (1.0 + e)
-        return -labels * slope
+    def scale(margins, labels) -> np.ndarray:
+        margin, e = margins
+        return -labels * (np.where(margin > 0, e, 1.0) / (1.0 + e))
 
-    return _table_problem(table, value, scale, "logistic")
+    return _Table(table, margins, value, scale).problem("logistic")
 
 
 def load_dataset(path) -> tuple[np.ndarray, np.ndarray]:

@@ -55,7 +55,8 @@ from .sampling import (
 # Indices per enumeration chunk (2048 batches of 8): a chunk's index array
 # stays within 128 kB and its gathered gradient rows within 128*d kB.
 _CHUNK_INDICES = 16_384
-# Every integer up to 2**53 is a float64; while k! is below it, so is each divisor of k!.
+# An integer is a float64 when its odd part is below 2**53; while k!'s is, so
+# is each divisor of k!'s (k <= 22).
 _EXACT_FLOATS = 2**53
 
 
@@ -102,9 +103,9 @@ def _weighted_chunks(n_components: int, batch_size: int, scheme: Scheme, cap):
     any chunk is built.
 
     With replacement a multiset's weight is k! / prod(multiplicity!) / N**k.
-    While k! < 2**53 (k <= 18) and N**k is a float64, each chunk's weights
-    come in float64 from the rows' run positions, equal to
-    ``batch_probability`` bit for bit. Otherwise the rows are keyed by where
+    While the odd part of k! is below 2**53 (k <= 22) and N**k is a float64,
+    each chunk's weights come in float64 from the rows' run positions, equal
+    to ``batch_probability`` bit for bit. Otherwise the rows are keyed by where
     their runs start, and each new key's weight is computed in Python
     integers from one of its rows.
     """
@@ -118,7 +119,8 @@ def _weighted_chunks(n_components: int, batch_size: int, scheme: Scheme, cap):
     offsets = np.arange(batch_size)
     orderings = math.factorial(batch_size)
     draws = int(n_components) ** batch_size  # a numpy N would wrap in int64
-    if orderings < _EXACT_FLOATS and float(draws) == draws:
+    odd = orderings >> (orderings & -orderings).bit_length() - 1
+    if odd < _EXACT_FLOATS and float(draws) == draws:
         orderings, draws = float(orderings), float(draws)
 
         def weigh(idx: np.ndarray) -> tuple:

@@ -101,13 +101,13 @@ def test_verify_csv_is_byte_stable(tmp_path):
 # CSV format changes them.
 TRAIN_CSV_DIGESTS = {
     ("dataset", "without"):
-        "63b02704d9aefb28702563bd657d83895e6dc1bb6e720dc46341f4bdf08bfa40",
+        "62f4982bb6e62fcecf95d5252432adafa78fb7facc43e556f190f2bfc6df5e02",
     ("dataset", "with"):
-        "6ad13add2b5c60d817fcb0e1a24ff042a3a6b7d647e490e74116579377331dd3",
+        "7f48f53485a0f9e04b9eea40c6abf6e44b7449d9a6b77d17e7b3b3ee38597d14",
     ("logistic", "without"):
-        "7ea3e3714522d07400749ad4c6f5ad94a46d79de051860d8a1c566b57bd421b8",
+        "3ad1ed29b6a2ef10d7aa2bf50c984c179be962e0b7c288bbb10eb4f529755290",
     ("logistic", "with"):
-        "119315bdfed32344feedfd3fdebdba77484a1c94ae9fe34c6c84c8b954eb6e9e",
+        "1d043e989b8dd6c49ca6f2b87538b1520293ed5544df927136c1d65f8c8940c6",
 }
 
 
@@ -189,6 +189,26 @@ def test_train_malformed_dataset_is_io_error(tmp_path):
 
 def test_train_bad_cap_is_usage_error(tmp_path):
     assert main(["train", "--C", "-1", "--out", str(tmp_path)]) == 2
+
+
+def test_train_infinite_tolerance_is_usage_error(tmp_path, capsys):
+    # An infinite tolerance would report convergence at k = 0.
+    assert main(["train", "--tol", "inf", "--out", str(tmp_path)]) == 2
+    assert "tolerance" in capsys.readouterr().err
+    assert not (tmp_path / "train.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, limit",
+    [("verify", "--n-max", cli.N_MAX_LIMIT), ("verify", "--cap", cli.DEFAULT_ENUMERATION_CAP),
+     ("growth-curve", "--kmax", cli.KMAX_LIMIT)],
+)
+def test_work_past_the_flag_limit_is_refused_before_it_starts(tmp_path, capsys, command, flag, limit):
+    out = tmp_path / "out"
+    assert main([command, flag, str(limit + 1), "--out", str(out)]) == 2
+    assert f"{flag} must be between" in capsys.readouterr().err
+    assert not out.exists()
+    assert f"at most {limit}" in " ".join(cli.build_parser()[1][command].format_help().split())
 
 
 def test_train_negative_seed_is_usage_error(tmp_path, capsys):

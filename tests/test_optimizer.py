@@ -15,9 +15,12 @@ from varbatch import (
     VarianceCap,
     epsilon_at,
     full_gradient,
+    gradient_stats,
     learning_rate_at,
     make_least_squares,
+    make_logistic,
     next_batch_size,
+    objective_value,
     run,
 )
 
@@ -198,7 +201,9 @@ def test_run_stops_as_diverged_on_non_finite_step(ls5, random_ls):
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_run_calls_samplers_and_stats_through_module_names(ls5, monkeypatch, scheme):
     # The benchmark paces and counts a run by patching these module attributes.
-    names = ("gradient_stats", "sample_with_replacement", "sample_without_replacement")
+    # A built-in problem is monitored in one pass: one call per row.
+    names = ("_one_pass_stats", "gradient_stats", "sample_with_replacement",
+             "sample_without_replacement")
     spies = {name: Mock(wraps=getattr(optimizer, name)) for name in names}
     for name, spy in spies.items():
         monkeypatch.setattr(optimizer, name, spy)
@@ -213,9 +218,70 @@ def test_run_calls_samplers_and_stats_through_module_names(ls5, monkeypatch, sch
     sampled = sum(row.batch_size < 5 for row in rows)
     assert 0 < sampled < len(rows)
     expected = dict.fromkeys(names, 0)
-    expected["gradient_stats"] = len(rows)
+    expected["_one_pass_stats"] = len(rows)
     expected[f"sample_{scheme.name.lower()}"] = sampled
     assert {name: spy.call_count for name, spy in spies.items()} == expected
+
+
+def test_callable_problem_is_monitored_by_gradient_stats(ls5, monkeypatch):
+    # Per-component callables keep the block statistics and objective_value,
+    # one call of each per row, at the iterate the row describes.
+    problem = FiniteSumProblem(1, 5, lambda i, x: ls5.component_value(i, x),
+                               lambda i, x: ls5.component_gradient(i, x))
+    spies = {name: Mock(wraps=getattr(optimizer, name))
+             for name in ("_one_pass_stats", "gradient_stats", "objective_value")}
+    for name, spy in spies.items():
+        monkeypatch.setattr(optimizer, name, spy)
+    rows = run(problem, make_config(5, x0=np.array([7.5]), max_iters=8, tolerance=0.0)).rows
+    assert {name: spy.call_count for name, spy in spies.items()} == {
+        "_one_pass_stats": 0, "gradient_stats": len(rows), "objective_value": len(rows)}
+    for row, call in zip(rows, spies["gradient_stats"].call_args_list):
+        x = call.args[1]
+        stats = gradient_stats(problem, x)
+        assert row.full_grad_norm == float(np.linalg.norm(stats.full_gradient))
+        assert row.component_variance == stats.component_variance
+        assert row.objective == objective_value(problem, x)
+
+
+def monitored_iterates(monkeypatch, problem, config):
+    """The rows of ``run(problem, config)`` and the iterate each row monitored."""
+    spy = Mock(wraps=optimizer._one_pass_stats)
+    monkeypatch.setattr(optimizer, "_one_pass_stats", spy)
+    rows = run(problem, config).rows
+    assert spy.call_count == len(rows)
+    return rows, [call.args[1] for call in spy.call_args_list]
+
+
+def logistic_problem():
+    rng = np.random.default_rng(6)
+    return make_logistic(rng.normal(size=(200, 3)), rng.choice([-1.0, 1.0], size=200))
+
+
+@pytest.mark.parametrize("build", [lambda: make_least_squares(
+    *(lambda rng: (rng.normal(size=(200, 3)), rng.normal(size=200)))(np.random.default_rng(5))
+), logistic_problem], ids=["least-squares", "logistic"])
+def test_one_pass_monitor_matches_the_public_aggregates(monkeypatch, build):
+    problem = build()
+    config = make_config(200, cap=1.0, max_iters=12, tolerance=0.0)
+    rows, iterates = monitored_iterates(monkeypatch, problem, config)
+    one_pass = 0
+    for row, x in zip(rows, iterates):
+        variance = gradient_stats(problem, x).component_variance
+        assert row.full_grad_norm == float(np.linalg.norm(full_gradient(problem, x)))
+        assert row.objective == objective_value(problem, x)
+        assert abs(row.component_variance - variance) <= 1e-12 * variance
+        one_pass += row.full_grad_norm ** 2 <= row.component_variance
+    assert one_pass == len(rows)  # the guard held: every variance is one-pass
+
+
+def test_monitor_takes_the_block_variance_far_from_the_optimum(ls5, monkeypatch):
+    # Var is 2 at every x, and ||g||**2 = (x - 3)**2 is about 1e6 here; the
+    # one-pass difference of squares loses 11 digits (2 - 1.2e-10 at the start).
+    config = make_config(5, x0=np.array([1000.1]), max_iters=4, tolerance=0.0)
+    rows, iterates = monitored_iterates(monkeypatch, ls5, config)
+    for row, x in zip(rows, iterates):
+        assert row.full_grad_norm ** 2 > 1e5 * row.component_variance
+        assert row.component_variance == gradient_stats(ls5, x).component_variance
 
 
 @pytest.mark.parametrize(
@@ -307,6 +373,8 @@ def test_run_config_validation(ls5):
         make_config(5, tolerance=-1.0)
     with pytest.raises(ValueError):
         make_config(5, tolerance=float("nan"))
+    with pytest.raises(ValueError):
+        make_config(5, tolerance=float("inf"))
     with pytest.raises(ValueError):
         make_config(5, auto_cap=True, monitor_full_gradient=False)
     with pytest.raises(ValueError):

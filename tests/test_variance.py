@@ -414,11 +414,13 @@ def test_chunk_weights_exact_past_one_word_of_run_flags():
 
 
 @pytest.mark.parametrize(
-    ("n", "size", "keyed"), [(7, 18, False), (8, 18, False), (9, 18, True), (2, 19, True)]
+    ("n", "size", "keyed"),
+    [(7, 18, False), (8, 18, False), (9, 18, True), (5, 22, False), (2, 23, True)],
 )
 def test_chunk_weights_exact_on_both_sides_of_the_float_path(monkeypatch, n, size, keyed):
-    # 18! < 2**53, and 7**18 and 8**18 = 2**54 are floats: these spaces take
-    # the float path. 9**18 is not a float and 19! > 2**53: these are keyed.
+    # 7**18, 8**18 = 2**54 and 5**22 are floats, and so are k! up to 22! =
+    # 2**19 * 2.1e15 and all their divisors: these spaces take the float path.
+    # 9**18 is not a float, and the odd part of 23! is above 2**53: these are keyed.
     # The blocks are the space's first and last chunks, built by itertools
     # (the rank decode that builds them otherwise is tested above), so the
     # millions of rows between are not decoded.
