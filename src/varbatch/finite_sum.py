@@ -330,20 +330,20 @@ def _data(matrix, column, name: str) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True, eq=False)
 class _Table:
     """A built-in formula over the rows of an (N, d + 1) table, and its problem.
 
     ``link(features, column, x)`` is the rows' residual or margin, which
     ``value(t, column)`` and ``scale(t, column)`` map to the component values
     and the gradient scales s_i, g_i(x) = s_i(x) * a_i: values, gradients
-    and both at once share one evaluation of it.
+    and both at once share one evaluation of it. A plain class: a dataclass
+    would cost every import of the package about 0.5 ms to build.
     """
 
-    data: np.ndarray
-    link: Callable
-    value: Callable
-    scale: Callable
+    __slots__ = ("data", "link", "value", "scale")
+
+    def __init__(self, data: np.ndarray, link, value, scale):
+        self.data, self.link, self.value, self.scale = data, link, value, scale
 
     def _linked(self, indices, x: np.ndarray):
         rows = _rows(self.data, indices)

@@ -97,8 +97,8 @@ def test_verify_csv_is_byte_stable(tmp_path):
 
 # train.csv digests of seeded d = 2 runs. At d <= 2 a row product does not
 # depend on how the BLAS blocks the rows, so these hold across BLAS kernels;
-# any change to the gradient formulas, their reductions, the samplers or the
-# CSV format changes them.
+# any change to the gradient formulas, their reductions, the monitored
+# variance, the samplers or the CSV format changes them.
 TRAIN_CSV_DIGESTS = {
     ("dataset", "without"):
         "62f4982bb6e62fcecf95d5252432adafa78fb7facc43e556f190f2bfc6df5e02",

@@ -223,11 +223,16 @@ def test_run_calls_samplers_and_stats_through_module_names(ls5, monkeypatch, sch
     assert {name: spy.call_count for name, spy in spies.items()} == expected
 
 
-def test_callable_problem_is_monitored_by_gradient_stats(ls5, monkeypatch):
+@pytest.mark.parametrize("builtin_gradient", [False, True])
+def test_callable_problem_is_monitored_by_gradient_stats(ls5, monkeypatch, builtin_gradient):
     # Per-component callables keep the block statistics and objective_value,
-    # one call of each per row, at the iterate the row describes.
-    problem = FiniteSumProblem(1, 5, lambda i, x: ls5.component_value(i, x),
-                               lambda i, x: ls5.component_gradient(i, x))
+    # one call of each per row, at the iterate the row describes; so does a
+    # built-in gradient paired with another value, whose objective one pass
+    # over the table would not give.
+    gradient = ls5.component_gradient
+    if not builtin_gradient:
+        gradient = lambda i, x: ls5.component_gradient(i, x)  # noqa: E731
+    problem = FiniteSumProblem(1, 5, lambda i, x: 2.0 * ls5.component_value(i, x), gradient)
     spies = {name: Mock(wraps=getattr(optimizer, name))
              for name in ("_one_pass_stats", "gradient_stats", "objective_value")}
     for name, spy in spies.items():
