@@ -55,8 +55,8 @@ from .sampling import (
 # Indices per enumeration chunk (2048 batches of 8): a chunk's index array
 # stays within 128 kB and its gathered gradient rows within 128*d kB.
 _CHUNK_INDICES = 16_384
-# An integer is a float64 when its odd part is below 2**53; while k!'s is, so
-# is each divisor of k!'s (k <= 22).
+# An integer is exactly a float64 when its odd part is below 2**53; while the
+# odd part of k! is (k <= 22), every divisor of k! is one too.
 _EXACT_FLOATS = 2**53
 
 
