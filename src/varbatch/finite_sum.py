@@ -186,11 +186,14 @@ def _row_sum(rows: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
     ``einsum`` adds the rows, or the products ``s_i * rows[i]``, one at a
     time in index order, as numpy's sum does with two or more entries per
     row, with less work per row and no block of products. With one entry
-    numpy sums the column pairwise, and that case keeps its own sum.
-    ``rows`` may be a strided view, such as a table's feature columns.
+    numpy sums the column pairwise, and that case keeps its own sum, over a
+    contiguous copy: along a strided batch axis numpy adds row by row.
+    ``rows`` may be a strided view, such as a table's feature columns or
+    the transpose of an oracle's column-major gather.
     """
     if rows.shape[-1] == 1:
-        return (rows if s is None else rows * s[..., None]).sum(axis=-2)
+        rows = rows if s is None else rows * s[..., None]
+        return np.ascontiguousarray(rows).sum(axis=-2)
     if s is None:
         return np.einsum("...ij->...j", rows)
     return np.einsum("...ij,...i->...j", rows, s)

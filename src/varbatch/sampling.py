@@ -380,9 +380,11 @@ def enumerate_batches(
 def _subset_blocks(population: int, size: int, rows: int) -> Iterator[np.ndarray]:
     """The ``size``-subsets of ``range(population)`` in lexicographic order.
 
-    Yields fresh ``(rows, size)`` ``np.intp`` blocks, the last one shorter.
-    Each row is decoded from its int64 rank; the caller checks the space
-    with ``_subset_population(..., ranked=True)``.
+    Yields fresh ``(rows, size)`` ``np.intp`` blocks, the last one shorter,
+    laid out column-major: each is the transpose of a ``(size, rows)``
+    array filled a column at a time, so every column is contiguous. Each
+    row is decoded from its int64 rank; the caller checks the space with
+    ``_subset_population(..., ranked=True)``.
     """
     # The combinatorial number system (Knuth, TAOCP 4A, 7.2.1.3): subset a
     # has rank r = total - 1 - sum_j C(population - 1 - a_j, size - j). A row
@@ -403,13 +405,13 @@ def _subset_blocks(population: int, size: int, rows: int) -> Iterator[np.ndarray
             term = table
     for start in range(0, total, rows):
         rest = np.arange(start + 1 - total, min(start + rows, total) + 1 - total)
-        chunk = np.empty((len(rest), size), np.intp)
+        columns = np.empty((size, len(rest)), np.intp)
         for j, table in enumerate(tables):
             t = table.searchsorted(rest)
             rest -= table.take(t)
-            np.add(t, j, out=chunk[:, j])
-        np.add(rest, population - 1, out=chunk[:, -1])
-        yield chunk
+            np.add(t, j, out=columns[j])
+        np.add(rest, population - 1, out=columns[-1])
+        yield columns.T
 
 
 def batch_probability(batch: Batch, n_components: int) -> float:

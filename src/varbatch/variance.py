@@ -10,9 +10,10 @@ populations past the enumeration cap. Each checks its sizes, as
 
 The oracles read the batch space in the order of
 :func:`~varbatch.sampling.enumerate_batches`, but as numpy index chunks
-rather than ``Batch`` objects: ``(m, N_S)`` arrays of at most
+rather than ``Batch`` objects: column-major ``(m, N_S)`` arrays of at most
 ``_CHUNK_INDICES`` indices, so memory stays bounded whatever the size of the
-batch space. Each batch is weighted by its exact
+batch space, and decoding, weighing and gathering read whole columns. Each
+batch is weighted by its exact
 :func:`~varbatch.sampling.batch_probability`, which with replacement is
 computed per chunk in float64 wherever that is exact (see
 :func:`_weighted_chunks`), and the weighted terms are added one at a time in
@@ -22,7 +23,8 @@ over the same batches.
 Every batch mean, and the full-gradient mean each estimate is centred on,
 adds its rows in index order, with the reduction that
 :func:`~varbatch.finite_sum.full_gradient` and
-:func:`~varbatch.finite_sum.batch_gradient` use.
+:func:`~varbatch.finite_sum.batch_gradient` use, read along a strided
+batch axis; with one gradient entry (d = 1) it sums a contiguous copy.
 """
 from __future__ import annotations
 
@@ -97,17 +99,18 @@ def _weighted_chunks(n_components: int, batch_size: int, scheme: Scheme, cap):
     """The batch space as ``(idx, weights)`` chunks, in enumeration order.
 
     ``idx`` holds m = ``max(1, _CHUNK_INDICES // batch_size)`` consecutive
-    batches, fewer in the last chunk; ``weights[i]`` is the exact
+    batches, fewer in the last chunk, column-major as ``_subset_blocks``
+    yields it; ``weights[i]`` is the exact
     :func:`~varbatch.sampling.batch_probability` of row i. The cap, and the
     limit of the chunks' int64 rank decode, are checked at the call, before
     any chunk is built.
 
     With replacement a multiset's weight is k! / prod(multiplicity!) / N**k.
     While the odd part of k! is below 2**53 (k <= 22) and N**k is a float64,
-    each chunk's weights come in float64 from the rows' run positions, equal
-    to ``batch_probability`` bit for bit. Otherwise the rows are keyed by where
-    their runs start, and each new key's weight is computed in Python
-    integers from one of its rows.
+    each chunk's weights come in float64 from the rows' run positions, read
+    along its contiguous columns, equal to ``batch_probability`` bit for
+    bit. Otherwise the rows are keyed by where their runs start, and each
+    new key's weight is computed in Python integers from one of its rows.
     """
     population = _subset_population(n_components, batch_size, scheme, cap, ranked=True)
     rows = max(1, _CHUNK_INDICES // batch_size)
@@ -130,7 +133,7 @@ def _weighted_chunks(n_components: int, batch_size: int, scheme: Scheme, cap):
             # prod(multiplicity!), which divides k!. So every partial product
             # and k! / P are exact integers, and the one division by N**k
             # rounds as the integer division in batch_probability does.
-            columns = idx.T.copy()
+            columns = idx.T
             place = np.ones(len(idx))
             product = np.ones(len(idx))
             for same in columns[1:] == columns[:-1]:
@@ -212,13 +215,17 @@ def exact_batch_variance(
     within ``cap``, and even under ``cap=None`` within ``(2**63 - 1) // M``
     batches (M = N, or N + N_S - 1 with replacement); a larger space raises
     before anything is evaluated.
+
+    A chunk's rows are gathered once by its columns, a contiguous
+    ``(N_S, m, d)`` block, and its ``(m, N_S, d)`` transpose is summed over
+    the batch axis, so each batch still adds its rows in index order.
     """
     chunks = _weighted_chunks(problem.n_components, batch_size, scheme, cap)
     grads = gradient_matrix(problem, x)
     center = _row_sum(grads) / len(grads)
     total = 0.0
     for idx, weights in chunks:
-        dev = _row_sum(_rows(grads, idx)) / batch_size - center
+        dev = _row_sum(_rows(grads, idx.T).transpose(1, 0, 2)) / batch_size - center
         total = _add_in_order(total, weights * np.vecdot(dev, dev))
     return total
 

@@ -247,24 +247,26 @@ def test_chunked_oracles_equal_per_batch_loop(monkeypatch):
     # At 64 indices per chunk the larger batch spaces span several chunks;
     # the sums must not notice where the boundaries fall.
     chunk_sizes = (variance._CHUNK_INDICES, 64)
-    for n in range(1, 8):
-        for problem, x in oracle_problems(n):
-            for size in range(1, n + 1):
-                expected = [
-                    loop_exact_batch_variance(problem, x, size, scheme)
+    cases = [case for n in range(1, 8) for case in oracle_problems(n)]
+    # With one gradient entry numpy sums eight or more rows pairwise: N = 8, d = 1.
+    cases.append(next(oracle_problems(8)))
+    for problem, x in cases:
+        for size in range(1, problem.n_components + 1):
+            expected = [
+                loop_exact_batch_variance(problem, x, size, scheme)
+                for scheme in (WITHOUT, WITH)
+            ]
+            if size >= 2:
+                expected.append(loop_average_batch_covariance(problem, x, size))
+            for chunk_indices in chunk_sizes:
+                monkeypatch.setattr(variance, "_CHUNK_INDICES", chunk_indices)
+                observed = [
+                    exact_batch_variance(problem, x, size, scheme)
                     for scheme in (WITHOUT, WITH)
                 ]
                 if size >= 2:
-                    expected.append(loop_average_batch_covariance(problem, x, size))
-                for chunk_indices in chunk_sizes:
-                    monkeypatch.setattr(variance, "_CHUNK_INDICES", chunk_indices)
-                    observed = [
-                        exact_batch_variance(problem, x, size, scheme)
-                        for scheme in (WITHOUT, WITH)
-                    ]
-                    if size >= 2:
-                        observed.append(average_batch_covariance(problem, x, size))
-                    assert observed == expected
+                    observed.append(average_batch_covariance(problem, x, size))
+                assert observed == expected
 
 
 def test_oracles_never_call_closed_forms(monkeypatch, random_ls):
