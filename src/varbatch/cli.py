@@ -24,7 +24,7 @@ from .finite_sum import (
     make_least_squares,
     make_logistic,
 )
-from .optimizer import IterationRow, LearningRateSchedule, RunConfig, run
+from .optimizer import IterationRow, LearningRateSchedule, RunConfig, _check_run_limits, run
 from .sampling import DEFAULT_ENUMERATION_CAP, EnumerationCapError, Scheme, SeededRng
 from .scheduler import (
     BatchSizeRule,
@@ -178,26 +178,32 @@ def cmd_growth_curve(args: argparse.Namespace) -> int:
     cap = VarianceCap(args.C)
     schedule = EpsilonSchedule.geometric(args.eps0, args.rho)
     out = _out_dir(args)
-    rows = []
-    for k in range(args.kmax + 1):
-        eps = epsilon_at(schedule, k)
-        rows.append(
-            (
+    # Rows go to the CSV as they are computed; only the plotted sizes are kept.
+    ks = range(args.kmax + 1)
+    sizes_with, sizes_without = [], []
+
+    def rows():
+        for k in ks:
+            eps = epsilon_at(schedule, k)
+            size_with = min_batch_with_replacement(cap, eps, args.N, truncate=True)
+            size_without = min_batch_without_replacement(cap, args.N, eps)
+            sizes_with.append(size_with)
+            sizes_without.append(size_without)
+            yield (
                 k,
                 eps,
-                min_batch_with_replacement(cap, eps, args.N, truncate=True),
-                min_batch_without_replacement(cap, args.N, eps),
+                size_with,
+                size_without,
                 min(float(args.N), batch_bound_with_replacement(cap, eps)),
                 batch_bound_without_replacement(cap, args.N, eps),
             )
-        )
+
     csv_path = out / "growth_curve.csv"
-    _write_csv(csv_path, GROWTH_HEADER, rows)
-    ks = [row[0] for row in rows]
+    _write_csv(csv_path, GROWTH_HEADER, rows())
     svg = render_line_chart(
         [
-            ("without replacement", ks, [row[3] for row in rows]),
-            ("with replacement (truncated)", ks, [row[2] for row in rows]),
+            ("without replacement", ks, sizes_without),
+            ("with replacement (truncated)", ks, sizes_with),
         ],
         xlabel="k",
         ylabel="batch size",
@@ -224,16 +230,17 @@ def _resolve_problem(source: str):
 
 def cmd_train(args: argparse.Namespace) -> int:
     """Run SGD with the scheduled batch sizes and dump the telemetry."""
+    # Every setting that does not need N is checked before a dataset is read.
+    cap = VarianceCap(args.C)
+    epsilon_schedule = EpsilonSchedule.geometric(args.eps0, args.rho)
+    learning_rate = LearningRateSchedule(args.lr_schedule, args.alpha)
+    _check_run_limits(args.max_iters, args.tol)
     problem = _resolve_problem(args.problem)
-    rule = BatchSizeRule(
-        scheme=Scheme.from_flag(args.scheme),
-        cap=VarianceCap(args.C),
-        n_components=problem.n_components,
-    )
+    rule = BatchSizeRule(Scheme.from_flag(args.scheme), cap, problem.n_components)
     config = RunConfig(
         rule=rule,
-        epsilon_schedule=EpsilonSchedule.geometric(args.eps0, args.rho),
-        learning_rate=LearningRateSchedule(args.lr_schedule, args.alpha),
+        epsilon_schedule=epsilon_schedule,
+        learning_rate=learning_rate,
         max_iters=args.max_iters,
         tolerance=args.tol,
         seed=args.seed,

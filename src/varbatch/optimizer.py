@@ -52,6 +52,13 @@ class LearningRateSchedule:
         return cls(DECAYING, alpha0)
 
 
+def _check_run_limits(max_iters: int, tolerance: float) -> None:
+    """The checks of a run's iteration cap and stopping tolerance."""
+    _check_count(max_iters, "max_iters", 1)
+    if not 0 <= tolerance < math.inf:
+        raise ValueError("tolerance must be a nonnegative finite number")
+
+
 @dataclass(frozen=True, eq=False)
 class RunConfig:
     """Everything a run needs besides the problem itself.
@@ -75,9 +82,7 @@ class RunConfig:
     auto_cap: bool = False
 
     def __post_init__(self):
-        _check_count(self.max_iters, "max_iters", 1)
-        if not 0 <= self.tolerance < math.inf:
-            raise ValueError("tolerance must be a nonnegative finite number")
+        _check_run_limits(self.max_iters, self.tolerance)
         if self.auto_cap and not self.monitor_full_gradient:
             raise ValueError("auto_cap needs monitor_full_gradient for measurements")
 

@@ -199,6 +199,22 @@ def test_train_infinite_tolerance_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "flag, value",
+    [("--tol", "inf"), ("--C", "-1"), ("--max-iters", "0"), ("--rho", "1"), ("--alpha", "0")],
+)
+def test_train_checks_its_flags_before_reading_the_dataset(tmp_path, capsys, monkeypatch,
+                                                           flag, value):
+    def unread(path):
+        raise AssertionError(f"{path} was read before {flag} was checked")
+
+    monkeypatch.setattr(cli, "_load_table", unread)
+    data = tmp_path / "data.csv"
+    data.write_text("1,1\n1,2\n1,3\n")
+    assert main(["train", "--problem", str(data), flag, value, "--out", str(tmp_path)]) == 2
+    assert "train: loaded" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
     "command, flag, limit",
     [("verify", "--n-max", cli.N_MAX_LIMIT), ("verify", "--cap", cli.DEFAULT_ENUMERATION_CAP),
      ("growth-curve", "--kmax", cli.KMAX_LIMIT)],
