@@ -6,17 +6,14 @@ SVG primitives.
 """
 from __future__ import annotations
 
-from array import array
-
 PALETTE = ("#d62728", "#1f77b4", "#2ca02c", "#9467bd")
 WIDTH, HEIGHT = 720, 480
 
 
 def render_line_chart(series, xlabel: str, ylabel: str, title: str) -> str:
     """Render ``series`` (label, xs, ys triples) as a standalone SVG string."""
-    # Packed float64 columns: a long series costs 8 bytes a value, not a float object.
     data = [
-        (label, array("d", map(float, xs)), array("d", map(float, ys)))
+        (label, [float(v) for v in xs], [float(v) for v in ys])
         for label, xs, ys in series
     ]
     if not data or any(not xs or len(xs) != len(ys) for _, xs, ys in data):

@@ -366,6 +366,15 @@ def test_growth_curve_byte_stable(tmp_path):
     assert read_bytes(a / "growth_curve.svg") == read_bytes(b / "growth_curve.svg")
 
 
+def test_growth_curve_output_does_not_depend_on_its_row_blocks(tmp_path, monkeypatch):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["growth-curve", "--kmax", "40", "--out", str(a)]) == 0
+    monkeypatch.setattr(cli, "_GROWTH_BLOCK", 7)
+    assert main(["growth-curve", "--kmax", "40", "--out", str(b)]) == 0
+    for name in ("growth_curve.csv", "growth_curve.svg"):
+        assert read_bytes(a / name) == read_bytes(b / name)
+
+
 def test_train_byte_stable_for_fixed_seed(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
