@@ -182,7 +182,7 @@ def cmd_growth_curve(args: argparse.Namespace) -> int:
     schedule = EpsilonSchedule.geometric(args.eps0, args.rho)
     out = _out_dir(args)
     # Rows go to the CSV a block at a time, each block computed in one loop
-    # before it is written (alternating row by row costs about 10% of a
+    # before it is written (alternating row by row cost about 4% of a
     # default run); only the plotted sizes are kept.
     ks = range(args.kmax + 1)
     sizes_with, sizes_without = [], []
