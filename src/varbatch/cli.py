@@ -174,8 +174,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_growth_curve(args: argparse.Namespace) -> int:
     """Tabulate and plot both batch-size rules along a tolerance schedule."""
-    if args.N < 2:
-        raise ValueError("--N must be at least 2")
+    # The bounds compute in floats, so an N past the float range has none.
+    if not 2 <= args.N <= sys.float_info.max:
+        raise ValueError(f"--N must be between 2 and {sys.float_info.max!r}, the largest float")
     if not 0 <= args.kmax <= KMAX_LIMIT:
         raise ValueError(f"--kmax must be between 0 and {KMAX_LIMIT}")
     cap = VarianceCap(args.C)

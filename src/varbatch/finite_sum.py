@@ -21,7 +21,6 @@ built-in problem in one pass (``_one_pass_stats``).
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -438,27 +437,41 @@ def _load_table(path) -> np.ndarray:
     """The C-ordered (N, d + 1) float table that :func:`load_dataset` splits."""
     # Undecodable bytes become unparsable cells, so a binary file is a format error.
     with open(path, errors="surrogateescape") as fh:
-        lines = (line for line in map(str.strip, fh) if line and not line.startswith("#"))
-        first = next(lines, None)
-        if first is None:
+        skipped = 0
+        for line in fh:
+            first = line.strip()
+            if first and not first.startswith("#"):
+                break
+            skipped += 1
+        else:
             raise DatasetFormatError(f"{path}: no data rows")
         separator = "," if "," in first else None
+        # The open file goes to numpy whole, past the leading skipped lines:
+        # it skips later empty lines and the whitespace around cells itself.
+        # A later '#' or whitespace-only line makes it raise, and only then
+        # are the stripped data lines parsed alone.
+        fh.seek(0)
         try:
-            data = _parse_rows(itertools.chain((first,), lines), separator)
+            data = _parse_rows(fh, separator, skipped)
         except ValueError:
-            data = None
+            fh.seek(0)
+            lines = (line for line in map(str.strip, fh) if line and not line.startswith("#"))
+            try:
+                data = _parse_rows(lines, separator)
+            except ValueError:
+                data = None
     if data is None or data.shape[1] < 2 or not np.isfinite(data).all():
         raise _first_format_error(path, separator)
     return data
 
 
-def _parse_rows(lines, separator) -> np.ndarray:
-    """Parse data lines in C into a float64 (rows, fields) array.
+def _parse_rows(lines, separator, skip=0) -> np.ndarray:
+    """Parse data lines, after the first ``skip``, in C into a float64 (rows, fields) array.
 
     ``comments=None``: a ``#`` after the first character of a line stays part
     of its cell, and so an error.
     """
-    return np.loadtxt(lines, delimiter=separator, comments=None, ndmin=2)
+    return np.loadtxt(lines, delimiter=separator, comments=None, ndmin=2, skiprows=skip)
 
 
 def _first_format_error(path, separator) -> DatasetFormatError:

@@ -29,9 +29,13 @@ from typing import Iterator, Sequence
 import numpy as np
 
 DEFAULT_ENUMERATION_CAP = 1_000_000
-# Subset draws of at least this many indices, N * k <= 2**63 - 1, take the
-# one-sort kernel: a whole draw costs 23-29 us that way at 40-120 indices, and
-# 10 us + 0.26 us per index in the dict loop; they cross at 50-60 (2-vCPU VM).
+# Subset draws of at least this many indices take the one-sort kernel, the
+# rest the dict loop (about 8 us + 0.22-0.25 us per index). A sparse draw, which
+# mostly takes the kernel's early exit, costs 13-14 us in the kernel from 20
+# to 100 indices, so the kernel wins there from about 20 indices; a dense one
+# (N = 100) costs 16-32 us at 10-100 indices and wins at none. At 60, sparse
+# draws below it lose up to 9 us on the loop and dense ones above it up to
+# 7 us on the kernel (2-vCPU VM, whole draws, best of 18 runs).
 _LOOP_FREE_MIN_SIZE = 60
 
 
@@ -100,9 +104,10 @@ class SeededRng:
     so results do not depend on numpy's internal selection algorithms; it
     takes all its offsets from one vectorised bounded draw, which yields the
     same values and leaves the same generator state as one scalar draw per
-    step. Small draws, and those whose int64 sort keys would overflow, replay
-    the swaps in a dict loop; the rest compute the same batch with one sort,
-    so batch streams are bit-identical whichever path a draw takes.
+    step. Small draws replay the swaps in a dict loop; the rest compute the
+    same batch with one sort, of int64 keys or, where those would overflow,
+    a stable argsort, and most sparse draws end right after it. Batch
+    streams are bit-identical whichever path a draw takes.
 
     The seed is a count (see :func:`_check_count`) of at least 0. Instances
     own mutable generator state; use one per thread.
@@ -254,15 +259,18 @@ def sample_without_replacement(rng: SeededRng, n_components: int, batch_size: in
 
     The pool is the identity except at displaced slots, so a draw costs
     O(batch_size) memory whatever the population size. Below
-    ``_LOOP_FREE_MIN_SIZE`` indices, or where N * k passes int64, a dict of
-    the displaced slots replays the swaps one step at a time; otherwise
-    :func:`_fisher_yates_batch` computes the same prefix around one sort.
+    ``_LOOP_FREE_MIN_SIZE`` indices a dict of the displaced slots replays
+    the swaps one step at a time; otherwise :func:`_fisher_yates_batch`
+    computes the same prefix around one sort: of packed int64 keys, or of a
+    stable argsort where N * k passes 2**63 - 1. If no two offsets are equal
+    the batch is the sorted offsets, and the kernel stops after its sort.
     """
     _subset_population(n_components, batch_size, Scheme.WITHOUT_REPLACEMENT)
     steps = np.arange(batch_size)
     offsets = rng.integers(steps, n_components)
-    if batch_size >= _LOOP_FREE_MIN_SIZE and n_components <= (2**63 - 1) // batch_size:
-        return _sampled(_fisher_yates_batch(offsets, steps), Scheme.WITHOUT_REPLACEMENT)
+    if batch_size >= _LOOP_FREE_MIN_SIZE:
+        packed = n_components <= (2**63 - 1) // batch_size
+        return _sampled(_fisher_yates_batch(offsets, steps, packed), Scheme.WITHOUT_REPLACEMENT)
     moved: dict[int, int] = {}
     chosen = []
     for j, r in enumerate(offsets.tolist()):
@@ -272,28 +280,44 @@ def sample_without_replacement(rng: SeededRng, n_components: int, batch_size: in
     return _sampled(np.array(sorted(chosen), np.intp), Scheme.WITHOUT_REPLACEMENT)
 
 
-def _fisher_yates_batch(offsets: np.ndarray, steps: np.ndarray) -> np.ndarray:
+def _fisher_yates_batch(
+    offsets: np.ndarray, steps: np.ndarray, packed: bool = True
+) -> np.ndarray:
     """Sorted pool prefix after the partial Fisher-Yates swaps ``offsets``, loop-free.
 
-    With ``steps`` = ``np.arange(k)``, used up as scratch, r_j = ``offsets[j]``
-    in ``[j, N)`` and N * k <= 2**63 - 1, the unique int64 keys r_j * k + j,
-    sorted once, list each hit slot with its last step, whatever the sort
-    algorithm. Slot t < k is written only by steps j <= t, so the value it
-    holds just before step t, root(t), is root(j) for the last step j < t
-    with r_j == t, or t if there is none; pointer doubling follows these
-    links, each to a smaller slot, in at most ceil(log2 k) + 1 rounds, if
-    there are any. Every outer slot s >= k that some r_j hits joins the
-    batch, after the kept prefix slots, which lose root(j) for the last step
-    j that hits s. A self-hit r_t == t leaves root(t) unread, so t keeps t.
+    With ``steps`` = ``np.arange(k)``, used up as scratch, and r_j =
+    ``offsets[j]`` in ``[j, N)``, the pairs (r_j, j) are put in order once:
+    ``packed``, which needs N * k <= 2**63 - 1, as the unique int64 keys
+    r_j * k + j, sorted whatever the sort algorithm; otherwise by a stable
+    argsort of the offsets, several times slower. Either lists each hit slot
+    with its last step. Step j reads slot r_j >= j, which only an earlier
+    step with the same offset can have written; so if no two offsets are
+    equal, slot j ends holding r_j and the batch is the sorted offsets,
+    returned at once (most sparse draws). Otherwise slot t < k is written
+    only by steps j <= t, so the value it holds just before step t, root(t),
+    is root(j) for the last step j < t with r_j == t, or t if there is none;
+    pointer doubling follows these links, each to a smaller slot, in at most
+    ceil(log2 k) + 1 rounds, if there are any. Every outer slot s >= k that
+    some r_j hits joins the batch, after the kept prefix slots, which lose
+    root(j) for the last step j that hits s. A self-hit r_t == t leaves
+    root(t) unread, so t keeps t.
     """
     size = steps.size
-    keys = offsets * size + steps
-    keys.sort()
-    targets = keys // size
+    if packed:
+        keys = offsets * size + steps
+        keys.sort()
+        targets = keys // size
+    else:
+        keys = offsets.argsort(kind="stable")
+        targets = offsets[keys]
     last = np.ones(size, bool)  # a slot's last key holds the last step that hits it
     np.not_equal(targets[1:], targets[:-1], out=last[:-1])
+    if last.all():
+        return targets
     targets = targets[last]
-    hits = keys[last] - targets * size
+    hits = keys[last]
+    if packed:
+        hits -= targets * size
     inner = targets.searchsorted(size)
     root = steps
     if (hits[:inner] != targets[:inner]).any():

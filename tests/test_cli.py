@@ -60,6 +60,17 @@ def test_growth_curve_rejects_bad_population(tmp_path):
     assert main(["growth-curve", "--N", "1", "--out", str(tmp_path)]) == 2
 
 
+def test_growth_curve_rejects_population_past_float_range(tmp_path, capsys):
+    # The bounds compute N * C in floats; an N that no float holds is a
+    # usage error, refused before any output file is opened.
+    out = tmp_path / "out"
+    assert main(["growth-curve", "--N", "9" * 401, "--kmax", "3", "--out", str(out)]) == 2
+    assert "--N must be between 2 and" in capsys.readouterr().err
+    assert not out.exists()
+    largest = str(int(sys.float_info.max))
+    assert main(["growth-curve", "--N", largest, "--kmax", "3", "--out", str(out)]) == 0
+
+
 def test_growth_curve_rejects_bad_schedule(tmp_path):
     assert main(["growth-curve", "--rho", "1.5", "--out", str(tmp_path)]) == 2
 

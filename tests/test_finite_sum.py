@@ -550,17 +550,21 @@ def test_load_dataset_rejects_cells_only_float_reads(tmp_path, cell):
 
 
 def test_load_dataset_rescan_without_a_bad_line_names_the_file(tmp_path, monkeypatch):
-    # The one-pass parse fails, and every line passes alone: as if the file
-    # had been mended between the two reads.
+    # The parse of the open file and that of its stripped lines both fail,
+    # and every line passes alone: as if the file had been mended between
+    # the reads.
     path = tmp_path / "data.csv"
     path.write_text("1,2\n3,4\n")
     parse = finite_sum._parse_rows
+    failures = []
 
-    def fail_first_call(lines, separator):
-        monkeypatch.setattr(finite_sum, "_parse_rows", parse)
+    def fail_first_two_calls(lines, separator, skip=0):
+        failures.append(skip)
+        if len(failures) == 2:
+            monkeypatch.setattr(finite_sum, "_parse_rows", parse)
         raise ValueError("injected")
 
-    monkeypatch.setattr(finite_sum, "_parse_rows", fail_first_call)
+    monkeypatch.setattr(finite_sum, "_parse_rows", fail_first_two_calls)
     with pytest.raises(DatasetFormatError) as err:
         load_dataset(path)
     assert str(err.value) == f"{path}: could not read the file as a numeric table"

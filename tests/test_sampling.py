@@ -131,7 +131,7 @@ def test_sparse_sampler_stream_matches_dense_reference():
     # numpy's 64-bit bounded path, the others its 32-bit one. Sizes
     # threshold - 1 .. threshold + 1 sit around the sampler's loop-free
     # threshold, and (2**62, 70), whose keys r_j * k + j would pass int64,
-    # takes the dict loop. The dense reference takes about 3 ms at
+    # takes the kernel's argsort route. The dense reference takes about 3 ms at
     # (1000, 1000) and 50 ms at (30000, 20000), so the larger shapes run for
     # every 8th and every 100th seed.
     threshold = _LOOP_FREE_MIN_SIZE
@@ -156,17 +156,32 @@ def test_loop_free_batch_matches_dict_loop_on_crafted_offsets():
     # Offsets that PCG draws almost never produce: no swaps at all, one
     # chain through every prefix slot (the longest pointer-doubling case),
     # every step hitting the last slot, a reversal, and full populations.
+    # Where N >= 2k: distinct outer offsets, which take the kernel's early
+    # exit, and three near misses of it: one outer slot hit twice, one step
+    # hitting prefix slot k - 1, and a self-hit at the last step. Both key
+    # routes, packed and argsort, must give the dict loop's batch.
     for size in (1, 2, 3, 100, 101, 1000, 1025):
         steps = np.arange(size)
         for n in (size, size + 1, 2 * size, 2**40):
-            for offsets in (
+            crafted = [
                 steps,
                 np.minimum(steps + 1, n - 1),
                 np.full(size, n - 1),
                 np.maximum(steps, n - 1 - steps),
-            ):
+            ]
+            if n >= 2 * size:
+                outer = n - 1 - steps
+                repeated, prefix_hit, self_hit = outer.copy(), outer.copy(), outer.copy()
+                repeated[-1] = outer[0]
+                prefix_hit[0] = size - 1
+                self_hit[-1] = size - 1
+                crafted += [outer, repeated, prefix_hit, self_hit]
+                assert _fisher_yates_batch(outer, np.arange(size)).tolist() == sorted(outer)
+            for offsets in crafted:
                 expected = dict_loop_batch(offsets)
-                assert _fisher_yates_batch(offsets, np.arange(size)).tolist() == expected
+                for packed in (True, False):
+                    kernel = _fisher_yates_batch(offsets, np.arange(size), packed)
+                    assert kernel.tolist() == expected
     full = SeededRng(3).integers(np.arange(500), 500)
     kernel = _fisher_yates_batch(full, np.arange(500)).tolist()
     assert kernel == dict_loop_batch(full) == list(range(500))
@@ -186,12 +201,13 @@ class FixedOffsets:
         return self.offsets.copy()
 
 
-def test_sampler_routes_draws_past_the_int64_key_limit_to_the_dict_loop():
-    # The kernel's keys r_j * k + j reach N * k - 1. At N = (2**63 - 1) // k
-    # they all fit in int64 and the kernel must give the dict loop's batch;
-    # one component more, N * k passes 2**63 - 1 and the sampler must take
-    # the dict loop. Offsets at the top slot make the largest keys, which
-    # would wrap around in the kernel; drawn offsets check the typical case.
+def test_sampler_routes_draws_past_the_int64_key_limit_to_the_argsort_kernel():
+    # The kernel's packed keys r_j * k + j reach N * k - 1. At
+    # N = (2**63 - 1) // k they all fit in int64 and the packed kernel must
+    # give the dict loop's batch; one component more, N * k passes
+    # 2**63 - 1 and the sampler must order the steps by a stable argsort of
+    # the offsets instead. Offsets at the top slot make the largest keys,
+    # which would wrap around if packed; drawn offsets check the typical case.
     for size in (100, 1025):
         below = (2**63 - 1) // size
         for n in (below, below + 1):
@@ -203,6 +219,8 @@ def test_sampler_routes_draws_past_the_int64_key_limit_to_the_dict_loop():
                 assert batch.indices == tuple(expected)
                 if n == below:
                     assert _fisher_yates_batch(offsets, np.arange(size)).tolist() == expected
+                kernel = _fisher_yates_batch(offsets, np.arange(size), packed=False)
+                assert kernel.tolist() == expected
 
 
 def test_sample_without_replacement_huge_population():
