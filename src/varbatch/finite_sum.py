@@ -21,6 +21,7 @@ built-in problem in one pass (``_one_pass_stats``).
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -446,20 +447,27 @@ def _load_table(path) -> np.ndarray:
         else:
             raise DatasetFormatError(f"{path}: no data rows")
         separator = "," if "," in first else None
-        # The open file goes to numpy whole, past the leading skipped lines:
-        # it skips later empty lines and the whitespace around cells itself.
-        # A later '#' or whitespace-only line makes it raise, and only then
-        # are the stripped data lines parsed alone.
-        fh.seek(0)
-        try:
-            data = _parse_rows(fh, separator, skipped)
-        except ValueError:
+        # numpy reads a seekable file itself, past the leading skipped lines,
+        # and skips later empty lines and the whitespace around cells. A later
+        # '#' or whitespace-only line makes it raise; only then, or for a
+        # stream that cannot be read twice (a pipe), are the stripped data
+        # lines parsed alone.
+        data = None
+        if fh.seekable():
             fh.seek(0)
-            lines = (line for line in map(str.strip, fh) if line and not line.startswith("#"))
+            try:
+                data = _parse_rows(fh, separator, skipped)
+            except ValueError:
+                fh.seek(0)
+            rest = fh
+        else:
+            rest = itertools.chain((line,), fh)
+        if data is None:
+            lines = (line for line in map(str.strip, rest) if line and not line.startswith("#"))
             try:
                 data = _parse_rows(lines, separator)
             except ValueError:
-                data = None
+                pass
     if data is None or data.shape[1] < 2 or not np.isfinite(data).all():
         raise _first_format_error(path, separator)
     return data

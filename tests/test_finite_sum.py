@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -549,6 +550,24 @@ def test_load_dataset_rejects_cells_only_float_reads(tmp_path, cell):
         load_dataset(path)
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_load_dataset_reads_a_pipe(tmp_path):
+    # A stream that cannot be read twice, as from `--problem <(...)`, is
+    # parsed as its stripped data lines, and gives the bytes of the file.
+    content = b"# header\n\n1,2,1\n# note\n0,1,-1\n  \n2,0,1\n"
+    path = tmp_path / "data.csv"
+    path.write_bytes(content)
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, content)
+        os.close(write_end)
+        piped = load_dataset(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+    assert [a.tobytes() for a in piped] == [a.tobytes() for a in load_dataset(path)]
+    assert piped[0].shape == (3, 2)
+
+
 def test_load_dataset_rescan_without_a_bad_line_names_the_file(tmp_path, monkeypatch):
     # The parse of the open file and that of its stripped lines both fail,
     # and every line passes alone: as if the file had been mended between
@@ -556,11 +575,11 @@ def test_load_dataset_rescan_without_a_bad_line_names_the_file(tmp_path, monkeyp
     path = tmp_path / "data.csv"
     path.write_text("1,2\n3,4\n")
     parse = finite_sum._parse_rows
-    failures = []
+    calls = []
 
     def fail_first_two_calls(lines, separator, skip=0):
-        failures.append(skip)
-        if len(failures) == 2:
+        calls.append(lines)
+        if len(calls) == 2:
             monkeypatch.setattr(finite_sum, "_parse_rows", parse)
         raise ValueError("injected")
 

@@ -156,9 +156,10 @@ def test_loop_free_batch_matches_dict_loop_on_crafted_offsets():
     # Offsets that PCG draws almost never produce: no swaps at all, one
     # chain through every prefix slot (the longest pointer-doubling case),
     # every step hitting the last slot, a reversal, and full populations.
-    # Where N >= 2k: distinct outer offsets, which take the kernel's early
-    # exit, and three near misses of it: one outer slot hit twice, one step
-    # hitting prefix slot k - 1, and a self-hit at the last step. Both key
+    # Where N >= 2k: distinct outer offsets, whose batch is the sorted
+    # offsets themselves, and the same with one outer slot hit twice (no
+    # early exit), with one step hitting prefix slot k - 1, or with a
+    # self-hit at the last step (still distinct, so they exit). Both key
     # routes, packed and argsort, must give the dict loop's batch.
     for size in (1, 2, 3, 100, 101, 1000, 1025):
         steps = np.arange(size)
