@@ -48,6 +48,7 @@ from .scheduler import (
     VarianceCap,
     batch_bound_with_replacement,
     batch_bound_without_replacement,
+    batch_sizes,
     epsilon_at,
     min_batch_with_replacement,
     min_batch_without_replacement,
@@ -89,6 +90,7 @@ __all__ = [
     "batch_bound_without_replacement",
     "batch_gradient",
     "batch_probability",
+    "batch_sizes",
     "component_gradient_variance",
     "count_batches",
     "empirical_batch_variance",

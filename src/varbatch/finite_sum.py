@@ -21,7 +21,6 @@ built-in problem in one pass (``_one_pass_stats``).
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -461,15 +460,19 @@ def _load_table(path) -> np.ndarray:
                 fh.seek(0)
             rest = fh
         else:
-            rest = itertools.chain((line,), fh)
+            # Kept for the line-by-line check below: a pipe cannot be reread.
+            rest = [line, *fh]
         if data is None:
             lines = (line for line in map(str.strip, rest) if line and not line.startswith("#"))
             try:
                 data = _parse_rows(lines, separator)
             except ValueError:
                 pass
-    if data is None or data.shape[1] < 2 or not np.isfinite(data).all():
-        raise _first_format_error(path, separator)
+        if data is None or data.shape[1] < 2 or not np.isfinite(data).all():
+            if fh.seekable():
+                fh.seek(0)
+                rest, skipped = fh, 0
+            raise _first_format_error(path, separator, rest, skipped + 1)
     return data
 
 
@@ -482,36 +485,36 @@ def _parse_rows(lines, separator, skip=0) -> np.ndarray:
     return np.loadtxt(lines, delimiter=separator, comments=None, ndmin=2, skiprows=skip)
 
 
-def _first_format_error(path, separator) -> DatasetFormatError:
+def _first_format_error(path, separator, lines, start) -> DatasetFormatError:
     """Error naming the first bad line of a file the one-pass parse rejected.
 
-    Reads the file again, line by line, with the same parser, and checks each
-    line in turn: parse, finite cells, then width.
+    ``lines`` are the file's raw lines from line number ``start`` on. Each is
+    parsed alone, with the same parser, and checked in turn: parse, finite
+    cells, then width.
     """
     width = None
-    with open(path, errors="surrogateescape") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                row = _parse_rows((line,), separator)[0]
-            except ValueError:
+    for lineno, raw in enumerate(lines, start=start):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            row = _parse_rows((line,), separator)[0]
+        except ValueError:
+            return DatasetFormatError(
+                f"{path}: line {lineno}: could not parse {line!r} as numbers"
+            )
+        if not np.isfinite(row).all():
+            return DatasetFormatError(f"{path}: line {lineno}: non-finite value in {line!r}")
+        if width is None:
+            width = len(row)
+            if width < 2:
                 return DatasetFormatError(
-                    f"{path}: line {lineno}: could not parse {line!r} as numbers"
+                    f"{path}: line {lineno}: need at least one feature column "
+                    "plus a label column"
                 )
-            if not np.isfinite(row).all():
-                return DatasetFormatError(f"{path}: line {lineno}: non-finite value in {line!r}")
-            if width is None:
-                width = len(row)
-                if width < 2:
-                    return DatasetFormatError(
-                        f"{path}: line {lineno}: need at least one feature column "
-                        "plus a label column"
-                    )
-            elif len(row) != width:
-                return DatasetFormatError(
-                    f"{path}: line {lineno}: expected {width} fields, got {len(row)}"
-                )
+        elif len(row) != width:
+            return DatasetFormatError(
+                f"{path}: line {lineno}: expected {width} fields, got {len(row)}"
+            )
     # The file changed between the two reads, or the parses disagree.
     return DatasetFormatError(f"{path}: could not read the file as a numeric table")

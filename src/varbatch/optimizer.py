@@ -23,7 +23,7 @@ from .sampling import (
     sample_with_replacement,
     sample_without_replacement,
 )
-from .scheduler import BatchSizeRule, EpsilonSchedule, epsilon_at, next_batch_size
+from .scheduler import BatchSizeRule, EpsilonSchedule, batch_sizes, epsilon_at
 from .variance import analytic_variance
 
 CONSTANT = "constant"
@@ -66,9 +66,8 @@ class RunConfig:
     ``monitor_full_gradient`` keeps desk-scale telemetry (full gradient norm,
     objective, measured component variance) and stops on the true gradient
     norm; switching it off stops on the batch-gradient norm instead, which is
-    a documented heuristic for larger populations. ``auto_cap`` is an
-    extension that replaces the fixed variance cap with the running maximum
-    of the measured component variance.
+    a documented heuristic for larger populations. The batch sizes are
+    ``batch_sizes(rule, epsilon_schedule)``, fixed before the run starts.
     """
 
     rule: BatchSizeRule
@@ -79,12 +78,9 @@ class RunConfig:
     seed: int = 0
     x0: np.ndarray | None = None
     monitor_full_gradient: bool = True
-    auto_cap: bool = False
 
     def __post_init__(self):
         _check_run_limits(self.max_iters, self.tolerance)
-        if self.auto_cap and not self.monitor_full_gradient:
-            raise ValueError("auto_cap needs monitor_full_gradient for measurements")
 
 
 @dataclass
@@ -132,7 +128,7 @@ def learning_rate_at(config: RunConfig, k: int) -> float:
 
 
 def run(problem: FiniteSumProblem, config: RunConfig) -> RunRecord:
-    """Iterate SGD with the batch size recomputed from the eps schedule each step.
+    """Iterate SGD with the batch sizes ``batch_sizes`` reads off the eps schedule.
 
     Deterministic given the seed. Stops at ``max_iters`` or once the monitored
     gradient norm is within tolerance. When the scheduler asks for the whole
@@ -165,13 +161,12 @@ def run(problem: FiniteSumProblem, config: RunConfig) -> RunRecord:
             )
     rng = SeededRng(config.seed)
     record = RunRecord(final_x=x)
-    previous = rule.floor
-    running_cap = rule.cap.value
     norms = _row_norms(problem) if config.monitor_full_gradient else None
     # A diverging run overflows in its monitoring before the step check
     # below ends it; those values are logged as inf, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(config.max_iters):
+        # range comes first, so no size past the last iteration is computed.
+        for k, size in zip(range(config.max_iters), batch_sizes(rule, config.epsilon_schedule)):
             try:
                 eps_k = epsilon_at(config.epsilon_schedule, k)
                 alpha_k = learning_rate_at(config, k)
@@ -180,17 +175,6 @@ def run(problem: FiniteSumProblem, config: RunConfig) -> RunRecord:
                     stats, objective = _one_pass_stats(problem, x, norms)
                 elif config.monitor_full_gradient:
                     stats = gradient_stats(problem, x)
-                cap_override = None
-                if config.auto_cap:
-                    # An overflowed measurement is no cap; the step check below
-                    # ends such a run as diverged.
-                    if math.isfinite(stats.component_variance):
-                        running_cap = max(running_cap, stats.component_variance)
-                    cap_override = running_cap
-                size = next_batch_size(
-                    rule, config.epsilon_schedule, k, previous, cap_override=cap_override
-                )
-                previous = size
                 if size == n:
                     gradient = stats.full_gradient if stats is not None else full_gradient(problem, x)
                 elif rule.scheme is Scheme.WITH_REPLACEMENT:

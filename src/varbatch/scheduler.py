@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count
+from typing import Iterator
 
 from .sampling import Scheme, _check_count, _subset_population
 from .variance import analytic_variance_without_replacement
@@ -182,26 +184,31 @@ def min_batch_without_replacement(
 
 
 def next_batch_size(
-    rule: BatchSizeRule,
-    schedule: EpsilonSchedule,
-    k: int,
-    previous: int,
-    cap_override: float | None = None,
+    rule: BatchSizeRule, schedule: EpsilonSchedule, k: int, previous: int
 ) -> int:
-    """Batch size for iteration ``k`` under ``rule`` and the eps schedule.
-
-    ``cap_override`` substitutes the rule's variance cap for this call only
-    (used by the auto-cap extension in the optimizer).
-    """
+    """Batch size for iteration ``k`` under ``rule`` and the eps schedule."""
     n = rule.n_components
     _check_count(previous, "previous size", rule.floor)
     if previous > n:
         raise ValueError(f"previous size must be in [{rule.floor}, {n}], got {previous}")
     eps = epsilon_at(schedule, k)
-    cap = rule.cap if cap_override is None else cap_override
     if rule.scheme is Scheme.WITH_REPLACEMENT:
-        size = min_batch_with_replacement(cap, eps, n, truncate=True)
+        size = min_batch_with_replacement(rule.cap, eps, n, truncate=True)
     else:
-        size = min_batch_without_replacement(cap, n, eps)
+        size = min_batch_without_replacement(rule.cap, n, eps)
     # previous is at least the floor, so this also applies the floor.
     return max(previous, size)
+
+
+def batch_sizes(rule: BatchSizeRule, schedule: EpsilonSchedule) -> Iterator[int]:
+    """The nondecreasing sizes n_0, n_1, ... of ``rule`` under ``schedule``.
+
+    The sequence depends on the rule and the schedule alone, never on an
+    iterate. It is lazy and endless: size k is computed by
+    ``next_batch_size`` from size k - 1 (the floor before k = 0) only when
+    it is read, so bound it with ``zip`` or ``itertools.islice``.
+    """
+    size = rule.floor
+    for k in count():
+        size = next_batch_size(rule, schedule, k, size)
+        yield size

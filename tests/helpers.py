@@ -14,6 +14,7 @@ from varbatch import (
     Scheme,
     batch_gradient,
     batch_probability,
+    batch_sizes,
     enumerate_batches,
     full_gradient,
     gradient_matrix,
@@ -158,15 +159,17 @@ def loop_empirical_batch_variance(problem, x, batch_size, scheme, draws, rng):
 def enumerate_run(problem, config):
     """Every sampling path of ``run(problem, config)``, as (probability, record) pairs.
 
-    Without ``auto_cap`` the batch sizes follow from the schedule alone, so
-    one seeded run gives them, and the paths are the product of the sampled
-    iterations' batch spaces. Each path drives ``run`` itself, its batches
-    replayed through the sampler names ``optimizer`` calls, and weighs the
-    product of its batches' ``batch_probability``.
+    The batch sizes are the first ``max_iters`` of ``batch_sizes``, which
+    follow from the rule and the schedule alone, and the paths are the
+    product of the sampled iterations' batch spaces. Each path drives
+    ``run`` itself, its batches replayed through the sampler names
+    ``optimizer`` calls, and weighs the product of its batches'
+    ``batch_probability``. Every path must run all ``max_iters`` iterations
+    (a tolerance of 0, say), so that it draws each of its batches.
     """
-    assert not config.auto_cap
     n, scheme = problem.n_components, config.rule.scheme
-    sizes = [row.batch_size for row in run(problem, config).rows if row.batch_size < n]
+    plan = itertools.islice(batch_sizes(config.rule, config.epsilon_schedule), config.max_iters)
+    sizes = [size for size in plan if size < n]
     spaces = [list(enumerate_batches(n, size, scheme)) for size in sizes]
     path = iter(())
 

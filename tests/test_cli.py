@@ -5,11 +5,13 @@ import random
 import re
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
 import varbatch.cli as cli
+from varbatch import BatchSizeRule, EpsilonSchedule, Scheme, VarianceCap, batch_sizes
 from varbatch.cli import main
 
 
@@ -54,6 +56,29 @@ def test_growth_curve_large_cap_past_epsilon_floor(tmp_path):
     assert main(["growth-curve", "--C", "1e10", "--kmax", "7000", "--out", str(tmp_path)]) == 0
     last = read_csv(tmp_path / "growth_curve.csv")[-1]
     assert int(last["size_with_replacement_truncated"]) == 30000
+
+
+@pytest.mark.parametrize(
+    "options, cap, n, kmax",
+    [
+        ((), 10.0, 30000, 200),
+        (("--C", "1e10", "--kmax", "7000"), 1e10, 30000, 7000),
+        (("--N", "5"), 10.0, 5, 200),
+    ],
+    ids=["default", "past-eps-floor", "N5"],
+)
+def test_growth_curve_sizes_are_the_run_batch_sizes(tmp_path, options, cap, n, kmax):
+    # growth-curve tabulates the raw rules. They never shrink as eps_k does,
+    # so batch_sizes' max with the previous size (floor 1) changes nothing.
+    assert main(["growth-curve", *options, "--out", str(tmp_path)]) == 0
+    rows = read_csv(tmp_path / "growth_curve.csv")
+    schedule = EpsilonSchedule.geometric(1.0, 0.9)
+    for scheme, column in (
+        (Scheme.WITH_REPLACEMENT, "size_with_replacement_truncated"),
+        (Scheme.WITHOUT_REPLACEMENT, "size_without_replacement"),
+    ):
+        plan = batch_sizes(BatchSizeRule(scheme, VarianceCap(cap), n), schedule)
+        assert [int(row[column]) for row in rows] == list(islice(plan, kmax + 1))
 
 
 def test_growth_curve_rejects_bad_population(tmp_path):

@@ -568,6 +568,34 @@ def test_load_dataset_reads_a_pipe(tmp_path):
     assert piped[0].shape == (3, 2)
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize(
+    "content",
+    [b"1,2,1\n0,x,-1\n", b"# header\n\n0,x,-1\n1,2,1\n"],
+    ids=["second-row", "after-skipped-lines"],
+)
+def test_load_dataset_names_the_bad_line_of_a_pipe(tmp_path, content):
+    # A pipe cannot be reread, so its bad line is found among the lines
+    # already read, numbered as in the file.
+    path = tmp_path / "data.csv"
+    path.write_bytes(content)
+    with pytest.raises(DatasetFormatError) as from_file:
+        load_dataset(path)
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, content)
+        os.close(write_end)
+        name = f"/dev/fd/{read_end}"
+        with pytest.raises(DatasetFormatError) as from_pipe:
+            load_dataset(name)
+    finally:
+        os.close(read_end)
+    lineno = content.split(b"\n").index(b"0,x,-1") + 1
+    message = f"line {lineno}: could not parse '0,x,-1' as numbers"
+    assert str(from_pipe.value) == f"{name}: {message}"
+    assert str(from_file.value) == f"{path}: {message}"
+
+
 def test_load_dataset_rescan_without_a_bad_line_names_the_file(tmp_path, monkeypatch):
     # The parse of the open file and that of its stripped lines both fail,
     # and every line passes alone: as if the file had been mended between

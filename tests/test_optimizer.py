@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import varbatch.optimizer as optimizer
+import varbatch.scheduler as scheduler
 from helpers import enumerate_run, fancy_index_least_squares
 from varbatch import (
     BatchSizeRule,
@@ -101,6 +102,19 @@ def test_run_telemetry_matches_offline_scheduler_replay(ls5):
         assert row.epsilon == epsilon_at(config.epsilon_schedule, row.k)
 
 
+@pytest.mark.parametrize("tolerance", [1e-2, 0.0])
+def test_run_computes_one_batch_size_per_row(ls5, monkeypatch, tolerance):
+    # The first run converges long before max_iters, the second reaches it:
+    # either way run reads no size past its last row.
+    spy = Mock(wraps=scheduler.next_batch_size)
+    monkeypatch.setattr(scheduler, "next_batch_size", spy)
+    record = run(ls5, make_config(5, max_iters=100, tolerance=tolerance))
+    expected = "converged" if tolerance else "max_iterations"
+    assert record.termination == expected
+    assert spy.call_count == len(record.rows)
+    assert [call.args[2] for call in spy.call_args_list] == [row.k for row in record.rows]
+
+
 def test_full_batch_run_reproduces_gradient_descent(random_ls):
     problem = random_ls(6, d=2, seed=31)
     config = make_config(
@@ -177,9 +191,9 @@ def test_run_aborts_with_partial_record_on_evaluator_error(ls5):
 def test_run_propagates_programming_errors(ls5, monkeypatch):
     # Only evaluator failures become termination="error"; a bug in the driver
     # itself must surface.
-    real = optimizer.next_batch_size
+    real = optimizer.learning_rate_at
     monkeypatch.setattr(
-        optimizer, "next_batch_size", lambda *args, **kwargs: real(*args, bad=1, **kwargs)
+        optimizer, "learning_rate_at", lambda *args, **kwargs: real(*args, bad=1, **kwargs)
     )
     with pytest.raises(TypeError, match="bad"):
         run(ls5, make_config(5))
@@ -187,10 +201,9 @@ def test_run_propagates_programming_errors(ls5, monkeypatch):
 
 def test_run_stops_as_diverged_on_non_finite_step(ls5, random_ls):
     fast = LearningRateSchedule.constant(50.0)
-    # With auto_cap the measured variance overflows before the iterate does.
-    for problem, auto_cap in ((ls5, False), (random_ls(20, seed=0), True)):
+    for problem in (ls5, random_ls(20, seed=0)):
         n = problem.n_components
-        record = run(problem, make_config(n, learning_rate=fast, auto_cap=auto_cap))
+        record = run(problem, make_config(n, learning_rate=fast))
         assert record.termination == "diverged"
         assert record.error is None
         assert 0 < len(record.rows) < 500
@@ -356,16 +369,6 @@ def test_unmonitored_run_matches_fancy_index_formulas(scheme):
     assert record.final_x.tobytes() == expected.final_x.tobytes()
 
 
-def test_run_auto_cap_tracks_measured_variance(ls5):
-    # At cap 1e-6 the rule alone would keep batches tiny; the auto cap lifts
-    # it to the measured component variance (2.0), demanding larger batches.
-    fixed = run(ls5, make_config(5, cap=1e-6, max_iters=30, tolerance=0.0))
-    lifted = run(
-        ls5, make_config(5, cap=1e-6, max_iters=30, tolerance=0.0, auto_cap=True)
-    )
-    assert max(r.batch_size for r in lifted.rows) > max(r.batch_size for r in fixed.rows)
-
-
 def test_run_config_validation(ls5):
     with pytest.raises(ValueError):
         make_config(5, max_iters=0)
@@ -375,8 +378,6 @@ def test_run_config_validation(ls5):
         make_config(5, tolerance=float("nan"))
     with pytest.raises(ValueError):
         make_config(5, tolerance=float("inf"))
-    with pytest.raises(ValueError):
-        make_config(5, auto_cap=True, monitor_full_gradient=False)
     with pytest.raises(ValueError):
         run(ls5, make_config(4))
     with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ Examples are derandomized and no example database is kept, so the suite
 stays deterministic.
 """
 import tempfile
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +22,10 @@ from varbatch import (
     VarianceCap,
     analytic_variance_with_replacement,
     analytic_variance_without_replacement,
+    batch_sizes,
     load_dataset,
     min_batch_with_replacement,
     min_batch_without_replacement,
-    next_batch_size,
     sample_with_replacement,
     sample_without_replacement,
 )
@@ -79,11 +80,9 @@ def test_next_batch_size_nondecreasing_within_bounds(scheme, cap, n, floor_share
     floor = max(1, round(floor_share * n))
     rule = BatchSizeRule(scheme, VarianceCap(cap), n, floor=floor)
     schedule = EpsilonSchedule.geometric(eps0, rho)
-    previous = floor
-    for k in range(40):
-        size = next_batch_size(rule, schedule, k, previous)
-        assert previous <= size <= n
-        previous = size
+    sizes = list(islice(batch_sizes(rule, schedule), 40))
+    assert floor <= sizes[0] and sizes[-1] <= n
+    assert all(a <= b for a, b in zip(sizes, sizes[1:]))
 
 
 @examples

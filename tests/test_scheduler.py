@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from varbatch import (
     analytic_variance_without_replacement,
     batch_bound_with_replacement,
     batch_bound_without_replacement,
+    batch_sizes,
     epsilon_at,
     min_batch_with_replacement,
     min_batch_without_replacement,
@@ -189,11 +191,7 @@ def test_emitted_size_keeps_variance_under_eps(scheme):
 def test_next_batch_size_monotone_sequence():
     rule = BatchSizeRule(Scheme.WITHOUT_REPLACEMENT, VarianceCap(2.0), 5)
     schedule = EpsilonSchedule.geometric(1.0, 0.9)
-    sizes = []
-    previous = rule.floor
-    for k in range(200):
-        previous = next_batch_size(rule, schedule, k, previous)
-        sizes.append(previous)
+    sizes = list(islice(batch_sizes(rule, schedule), 200))
     assert all(a <= b for a, b in zip(sizes, sizes[1:]))
     assert max(sizes) <= 5
     assert sizes[-1] == 5
@@ -202,10 +200,7 @@ def test_next_batch_size_monotone_sequence():
 def test_next_batch_size_never_exceeds_population_with_replacement():
     rule = BatchSizeRule(Scheme.WITH_REPLACEMENT, VarianceCap(10.0), 50)
     schedule = EpsilonSchedule.geometric(1.0, 0.5)
-    previous = rule.floor
-    for k in range(80):
-        previous = next_batch_size(rule, schedule, k, previous)
-        assert 1 <= previous <= 50
+    assert all(1 <= size <= 50 for size in islice(batch_sizes(rule, schedule), 80))
 
 
 def test_next_batch_size_monotone_flag_and_floor():
@@ -216,14 +211,6 @@ def test_next_batch_size_monotone_flag_and_floor():
     assert next_batch_size(floored, schedule, 0, 6) == 6
     with pytest.raises(ValueError):
         next_batch_size(sticky, schedule, 0, 21)
-
-
-def test_next_batch_size_cap_override():
-    rule = BatchSizeRule(Scheme.WITHOUT_REPLACEMENT, VarianceCap(1.0), 100)
-    schedule = EpsilonSchedule.geometric(0.1, 0.9)
-    small = next_batch_size(rule, schedule, 0, 1)
-    large = next_batch_size(rule, schedule, 0, 1, cap_override=50.0)
-    assert large > small
 
 
 def test_without_rule_never_above_untruncated_with_rule():
