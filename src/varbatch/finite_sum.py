@@ -21,6 +21,7 @@ built-in problem in one pass (``_one_pass_stats``).
 """
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from typing import Callable
 
@@ -437,6 +438,11 @@ def _load_table(path) -> np.ndarray:
     """The C-ordered (N, d + 1) float table that :func:`load_dataset` splits."""
     # Undecodable bytes become unparsable cells, so a binary file is a format error.
     with open(path, errors="surrogateescape") as fh:
+        if not fh.seekable():
+            # A stream that cannot be read twice (a pipe) is read once, and
+            # its bytes are then read as a file is. Held as bytes, not in an
+            # io.StringIO, which keeps four bytes per character.
+            fh = io.TextIOWrapper(io.BytesIO(fh.buffer.read()), errors="surrogateescape")
         skipped = 0
         for line in fh:
             first = line.strip()
@@ -446,33 +452,23 @@ def _load_table(path) -> np.ndarray:
         else:
             raise DatasetFormatError(f"{path}: no data rows")
         separator = "," if "," in first else None
-        # numpy reads a seekable file itself, past the leading skipped lines,
-        # and skips later empty lines and the whitespace around cells. A later
-        # '#' or whitespace-only line makes it raise; only then, or for a
-        # stream that cannot be read twice (a pipe), are the stripped data
-        # lines parsed alone.
-        data = None
-        if fh.seekable():
+        # numpy reads the file itself, past the leading skipped lines, and
+        # skips later empty lines and the whitespace around cells. A later
+        # '#' or whitespace-only line makes it raise; only then are the
+        # stripped data lines parsed alone.
+        fh.seek(0)
+        try:
+            data = _parse_rows(fh, separator, skipped)
+        except ValueError:
             fh.seek(0)
-            try:
-                data = _parse_rows(fh, separator, skipped)
-            except ValueError:
-                fh.seek(0)
-            rest = fh
-        else:
-            # Kept for the line-by-line check below: a pipe cannot be reread.
-            rest = [line, *fh]
-        if data is None:
-            lines = (line for line in map(str.strip, rest) if line and not line.startswith("#"))
+            lines = (line for line in map(str.strip, fh) if line and not line.startswith("#"))
             try:
                 data = _parse_rows(lines, separator)
             except ValueError:
-                pass
+                data = None
         if data is None or data.shape[1] < 2 or not np.isfinite(data).all():
-            if fh.seekable():
-                fh.seek(0)
-                rest, skipped = fh, 0
-            raise _first_format_error(path, separator, rest, skipped + 1)
+            fh.seek(0)
+            raise _first_format_error(path, separator, fh)
     return data
 
 
@@ -485,15 +481,15 @@ def _parse_rows(lines, separator, skip=0) -> np.ndarray:
     return np.loadtxt(lines, delimiter=separator, comments=None, ndmin=2, skiprows=skip)
 
 
-def _first_format_error(path, separator, lines, start) -> DatasetFormatError:
+def _first_format_error(path, separator, lines) -> DatasetFormatError:
     """Error naming the first bad line of a file the one-pass parse rejected.
 
-    ``lines`` are the file's raw lines from line number ``start`` on. Each is
+    ``lines`` are the file's raw lines from line 1 on. Each is
     parsed alone, with the same parser, and checked in turn: parse, finite
     cells, then width.
     """
     width = None
-    for lineno, raw in enumerate(lines, start=start):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -88,9 +88,10 @@ def _check_in_range(last, n_components: int) -> None:
 def _check_count(value, name: str, least: int) -> None:
     """Refuse ``value`` unless it is a Python or numpy integer >= ``least``.
 
-    The one check of every count; ``2.0`` is refused, not truncated.
+    The one check of every count; ``2.0`` is refused, not truncated, and
+    ``True`` is not read as 1.
     """
-    if not isinstance(value, _INTEGERS) or value < least:
+    if not isinstance(value, _INTEGERS) or isinstance(value, bool) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 

@@ -149,49 +149,28 @@ def _weighted_chunks(n_components: int, batch_size: int, scheme: Scheme, cap):
 
     def weigh(idx: np.ndarray) -> tuple:
         idx -= offsets
-        keys = _run_keys(idx)
-        distinct = _distinct(keys)
-        inverse = distinct.searchsorted(keys)
-        codes = distinct.tolist()
-        if not by_key.keys() >= set(codes):
-            # Every row with a key has that key's probability; read any one.
-            row = np.empty(len(codes), np.intp)
-            row[inverse] = np.arange(len(idx))
-            for code, i in zip(codes, row.tolist()):
-                if code not in by_key:
-                    by_key[code] = _multiset_probability(idx[i].tolist(), orderings, draws)
-        return idx, np.array(list(map(by_key.__getitem__, codes))).take(inverse)
+        keys, first, inverse = np.unique(
+            _run_keys(idx), return_index=True, return_inverse=True
+        )
+        keys = keys.tolist()
+        # Every row with a key has that key's probability; read the first.
+        for key, i in zip(keys, first.tolist()):
+            if key not in by_key:
+                by_key[key] = _multiset_probability(idx[i].tolist(), orderings, draws)
+        return idx, np.array([by_key[key] for key in keys]).take(inverse)
 
     return map(weigh, chunks)
 
 
-# Bit j of a row's run key flags a run starting at column j + 1.
-_RUN_BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
-
-
 def _run_keys(idx: np.ndarray) -> np.ndarray:
-    """One key per sorted row of ``idx``, equal exactly when its runs start alike."""
-    # Column 0 always starts a run and is left out. Up to 64 flags pack into
-    # a uint64 by one matmul; a packbits byte string, needed beyond, takes
-    # about four times as long to build and sort.
-    flat = idx.ravel()
-    starts = np.empty(flat.size, bool)
-    np.not_equal(flat[1:], flat[:-1], out=starts[1:])
-    flags = starts.reshape(idx.shape)[:, 1:]
-    if flags.shape[1] <= _RUN_BITS.size:
-        return flags @ _RUN_BITS[: flags.shape[1]]
-    packed = np.packbits(flags, axis=1)
-    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    """One key per sorted row of ``idx``, equal exactly when its runs start alike.
 
-
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of ``keys``."""
-    # np.unique does the same with more fixed cost, which each chunk would pay.
-    ordered = np.sort(keys)
-    first = np.empty(len(ordered), bool)
-    first[0] = True
-    first[1:] = ordered[1:] != ordered[:-1]
-    return ordered[first]
+    A key is the row's run-start flags, one byte per column; column 0
+    starts a run in every row.
+    """
+    starts = np.ones(idx.shape, bool)
+    np.not_equal(idx[:, 1:], idx[:, :-1], out=starts[:, 1:])
+    return starts.view(np.dtype((np.void, idx.shape[1])))[:, 0]
 
 
 def _add_in_order(total: float, terms: np.ndarray) -> float:

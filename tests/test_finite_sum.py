@@ -596,6 +596,43 @@ def test_load_dataset_names_the_bad_line_of_a_pipe(tmp_path, content):
     assert str(from_file.value) == f"{path}: {message}"
 
 
+# Files both parsers read: one the C pass takes whole, and one whose later
+# '#' and blank lines send it to the stripped-line parse.
+CLEAN_FILES = {
+    "clean-spaces": b"1 2 1\n0 1 -1\n2 0 1\n",
+    "clean-skipped-lines": b"# header\n\n1,2,1\n# note\n0,1,-1\n  \n2,0,1\n",
+}
+
+
+def _table_or_message(name):
+    """The bytes of ``load_dataset(name)``, or its error message after the name."""
+    try:
+        return [a.tobytes() for a in load_dataset(name)]
+    except DatasetFormatError as exc:
+        return str(exc).removeprefix(f"{name}: ")
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize(
+    "content",
+    [*MALFORMED_FILES.values(), *CLEAN_FILES.values()],
+    ids=[*MALFORMED_FILES, *CLEAN_FILES],
+)
+def test_load_dataset_reads_a_pipe_as_its_file(tmp_path, content):
+    # Through a pipe, every file gives the table, or the message, that it
+    # gives by its path.
+    path = tmp_path / "data.csv"
+    path.write_bytes(content)
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, content)
+        os.close(write_end)
+        piped = _table_or_message(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+    assert piped == _table_or_message(path)
+
+
 def test_load_dataset_rescan_without_a_bad_line_names_the_file(tmp_path, monkeypatch):
     # The parse of the open file and that of its stripped lines both fail,
     # and every line passes alone: as if the file had been mended between

@@ -245,7 +245,7 @@ def test_seeded_rng_integers_array_bounds():
 
 
 def test_seeded_rng_refuses_negative_and_non_integral_seeds():
-    for seed in (-1, 1.5, 2.0, np.int64(-3), "4", None):
+    for seed in (-1, 1.5, 2.0, np.int64(-3), "4", None, True, False):
         with pytest.raises(ValueError, match="seed"):
             SeededRng(seed)
     for seed in (np.int64(5), np.uint32(5)):
@@ -491,7 +491,7 @@ def _problem(n):
 
 
 _X = np.array([0.5])
-_BAD_COUNTS = (0, -1, 2.5, 2.0, "3", None)
+_BAD_COUNTS = (0, -1, 2.5, 2.0, "3", None, True, False)
 
 
 # Every entry point that takes a population size N or a batch size N_S, as
@@ -585,7 +585,7 @@ def test_every_size_check_refuses_with_one_message_per_fact(call, reads, least):
     ids=["dim", "max_iters", "draws"],
 )
 def test_every_other_count_shares_the_check(call, name, least):
-    for bad in (least - 1, -1, 2.5, 2.0, "3", None):
+    for bad in (least - 1, -1, 2.5, 2.0, "3", None, True, False):
         with _refused(f"{name} must be an integer >= {least}, got {bad!r}"):
             call(bad)
     call(np.int64(least + 1))

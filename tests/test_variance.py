@@ -462,6 +462,20 @@ def test_keyed_weights_give_the_float_path_oracles(monkeypatch):
     assert len(keyed_chunks) >= len(cells)
 
 
+@pytest.mark.parametrize(("n", "size", "patterns"), [(3, 40, 781), (4, 27, 2952)])
+def test_keyed_weights_weigh_each_run_pattern_once_per_space(monkeypatch, n, size, patterns):
+    # A multiset's weight depends only on where its runs start, one pattern
+    # per composition of k into at most n parts. Each is weighed once in the
+    # whole space, however many chunks hold it.
+    assert patterns == sum(math.comb(size - 1, parts - 1) for parts in range(1, n + 1))
+    weigh, calls = variance._multiset_probability, []
+    monkeypatch.setattr(
+        variance, "_multiset_probability", lambda *args: calls.append(1) or weigh(*args)
+    )
+    chunks = list(variance._weighted_chunks(n, size, WITH, None))
+    assert len(chunks) > 1 and len(calls) == patterns
+
+
 def test_first_chunk_of_a_large_space_stays_small():
     # The whole space of 10**6 one-index batches is 8 MB of indices; the
     # first chunk must come without building it.
