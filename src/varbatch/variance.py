@@ -95,6 +95,24 @@ def analytic_variance(
     return analytic_variance_without_replacement(var_comp, n_components, batch_size)
 
 
+def _weight_factors(n_components: int, batch_size: int) -> tuple:
+    """k! and N**k for with-replacement weights: float64 where that is exact, else ints.
+
+    A multiset's weight is k! / prod(multiplicity!) / N**k. While the odd
+    part of k! is below 2**53 (k <= 22) and N**k is a float64, both come as
+    floats: prod(multiplicity!) divides k!, so every partial product of run
+    places and k! / P are exact integers, and the one division by N**k
+    rounds as the integer division in ``batch_probability`` does.
+    Otherwise both stay Python integers.
+    """
+    orderings = math.factorial(batch_size)
+    draws = int(n_components) ** batch_size  # a numpy N would wrap in int64
+    odd = orderings >> (orderings & -orderings).bit_length() - 1
+    if odd < _EXACT_FLOATS and float(draws) == draws:
+        return float(orderings), float(draws)
+    return orderings, draws
+
+
 def _weighted_chunks(n_components: int, batch_size: int, scheme: Scheme, cap):
     """The batch space as ``(idx, weights)`` chunks, in enumeration order.
 
@@ -105,12 +123,11 @@ def _weighted_chunks(n_components: int, batch_size: int, scheme: Scheme, cap):
     limit of the chunks' int64 rank decode, are checked at the call, before
     any chunk is built.
 
-    With replacement a multiset's weight is k! / prod(multiplicity!) / N**k.
-    While the odd part of k! is below 2**53 (k <= 22) and N**k is a float64,
-    each chunk's weights come in float64 from the rows' run positions, read
-    along its contiguous columns, equal to ``batch_probability`` bit for
-    bit. Otherwise the rows are keyed by where their runs start, and each
-    new key's weight is computed in Python integers from one of its rows.
+    With replacement, where :func:`_weight_factors` gives floats, each
+    chunk's weights come in float64 from the rows' run places, read along
+    its contiguous columns, equal to ``batch_probability`` bit for bit.
+    Otherwise the rows are keyed by where their runs start, and each new
+    key's weight is computed in Python integers from one of its rows.
     """
     population = _subset_population(n_components, batch_size, scheme, cap, ranked=True)
     rows = max(1, _CHUNK_INDICES // batch_size)
@@ -120,19 +137,14 @@ def _weighted_chunks(n_components: int, batch_size: int, scheme: Scheme, cap):
         weight = _index_probability(range(batch_size), scheme, n_components)
         return ((idx, np.full(len(idx), weight)) for idx in chunks)
     offsets = np.arange(batch_size)
-    orderings = math.factorial(batch_size)
-    draws = int(n_components) ** batch_size  # a numpy N would wrap in int64
-    odd = orderings >> (orderings & -orderings).bit_length() - 1
-    if odd < _EXACT_FLOATS and float(draws) == draws:
-        orderings, draws = float(orderings), float(draws)
+    orderings, draws = _weight_factors(n_components, batch_size)
+    if isinstance(draws, float):
 
         def weigh(idx: np.ndarray) -> tuple:
             idx -= offsets  # multisets from subsets of range(N + k - 1): b_j = a_j - j
             # Column j's place in its run is 1 where the run starts, else one
-            # more than column j - 1's; the product P of the places is
-            # prod(multiplicity!), which divides k!. So every partial product
-            # and k! / P are exact integers, and the one division by N**k
-            # rounds as the integer division in batch_probability does.
+            # more than column j - 1's; the product of the places is
+            # prod(multiplicity!).
             columns = idx.T
             place = np.ones(len(idx))
             product = np.ones(len(idx))
@@ -160,6 +172,74 @@ def _weighted_chunks(n_components: int, batch_size: int, scheme: Scheme, cap):
         return idx, np.array([by_key[key] for key in keys]).take(inverse)
 
     return map(weigh, chunks)
+
+
+def _tree_sums(grads: np.ndarray, n_components: int, batch_size: int, scheme: Scheme):
+    """The batch space as ``(sums, weights)`` blocks, by a walk of its prefix tree.
+
+    ``sums[i]`` is the sum of a batch's gradient rows, added one at a time
+    in index order from +0.0, as :func:`~varbatch.finite_sum._row_sum` adds
+    them with two or more entries per row, and ``weights[i]`` (a scalar
+    without replacement) its :func:`~varbatch.sampling.batch_probability`,
+    computed as the float path of :func:`_weighted_chunks` computes it;
+    the batches come in enumeration order. With replacement the
+    :func:`_weight_factors` must be floats. The caller checks the space.
+
+    A node at depth j is a prefix a_0 < ... < a_{j-1} of the batches'
+    subsets of range(M), M as in ``_subset_population``: it holds a_{j-1},
+    the sum of the prefix's rows and, with replacement, the place of its
+    last row in its run and the product of its places, so each prefix is
+    summed and weighed once for all the batches that share it. A block of
+    nodes is expanded a level at a time: the children of a node take a_j
+    from a_{j-1} + 1 to M - k + j, one ``np.repeat`` of the parents and one
+    gather of rows (row a_j, or a_j - j with replacement) per level. A block
+    holds at most ``max(M, _CHUNK_INDICES // k)`` nodes, so a parent's
+    children always fit one; a stack of blocks, one at most per level, walks
+    them depth first, each block's parents in order.
+    """
+    runs = scheme is Scheme.WITH_REPLACEMENT
+    if runs:
+        orderings, draws = _weight_factors(n_components, batch_size)
+    else:
+        weight = _index_probability(range(batch_size), scheme, n_components)
+    population = n_components + batch_size - 1 if runs else n_components
+    limit = max(population, _CHUNK_INDICES // batch_size)
+    # Each entry: the depth, the block's nodes, the prefix sums of their child
+    # counts (from 0) and the first parent not yet expanded. The root, the
+    # empty prefix, has last index -1 and run place 0, so its children start
+    # runs at place 1.
+    root = (np.array([-1]), np.zeros((1, grads.shape[1])))
+    if runs:
+        root += (np.zeros(1), np.ones(1))
+    stack = [(0, root, np.array([0, population - batch_size + 1]), 0)]
+    while stack:
+        depth, nodes, bounds, start = stack.pop()
+        stop = bounds.searchsorted(bounds[start] + limit, "right") - 1
+        if stop < len(bounds) - 1:
+            stack.append((depth, nodes, bounds, stop))
+        last, sums, *places = (array[start:stop] for array in nodes)
+        top = population - batch_size + depth  # the largest a_depth
+        counts = top - last
+        ends = counts.cumsum()
+        index = np.repeat(top + 1 - ends, counts)
+        index += np.arange(len(index))
+        sums = np.repeat(sums, counts, axis=0)
+        sums += grads.take(index - depth if runs else index, axis=0)
+        if runs:
+            # A parent's first child, a_j = a_{j-1} + 1, repeats its multiset
+            # index (b_j = a_j - j), one place further along its run; every
+            # other child starts a run.
+            place, product = places
+            place_child = np.ones(len(index))
+            place_child[ends - counts] += place
+            places = (place_child, np.repeat(product, counts) * place_child)
+        if depth + 1 == batch_size:
+            yield sums, orderings / places[1] / draws if runs else weight
+        else:
+            counts = top + 1 - index
+            bounds = np.zeros(len(index) + 1, counts.dtype)
+            counts.cumsum(out=bounds[1:])
+            stack.append((depth + 1, (index, sums, *places), bounds, 0))
 
 
 def _run_keys(idx: np.ndarray) -> np.ndarray:
@@ -195,16 +275,33 @@ def exact_batch_variance(
     batches (M = N, or N + N_S - 1 with replacement); a larger space raises
     before anything is evaluated.
 
-    A chunk's rows are gathered once by its columns, a contiguous
-    ``(N_S, m, d)`` block, and its ``(m, N_S, d)`` transpose is summed over
-    the batch axis, so each batch still adds its rows in index order.
+    With two or more gradient entries, and with replacement where
+    :func:`_weight_factors` gives floats, the batches' row sums come from a
+    walk of the batch space's prefix tree (:func:`_tree_sums`). Otherwise,
+    where numpy sums a one-entry column pairwise or the weights need Python
+    integers, the space is read as :func:`_weighted_chunks`: a chunk's rows
+    are gathered once by its columns, a contiguous ``(N_S, m, d)`` block,
+    and its ``(m, N_S, d)`` transpose is summed over the batch axis, so each
+    batch still adds its rows in index order. Either way the result is
+    bit for bit the same.
     """
-    chunks = _weighted_chunks(problem.n_components, batch_size, scheme, cap)
+    n = problem.n_components
+    _subset_population(n, batch_size, scheme, cap, ranked=True)
     grads = gradient_matrix(problem, x)
     center = _row_sum(grads) / len(grads)
+    if grads.shape[1] >= 2 and (
+        scheme is Scheme.WITHOUT_REPLACEMENT
+        or isinstance(_weight_factors(n, batch_size)[1], float)
+    ):
+        blocks = _tree_sums(grads, n, batch_size, scheme)
+    else:
+        blocks = (
+            (_row_sum(_rows(grads, idx.T).transpose(1, 0, 2)), weights)
+            for idx, weights in _weighted_chunks(n, batch_size, scheme, cap)
+        )
     total = 0.0
-    for idx, weights in chunks:
-        dev = _row_sum(_rows(grads, idx.T).transpose(1, 0, 2)) / batch_size - center
+    for sums, weights in blocks:
+        dev = sums / batch_size - center
         total = _add_in_order(total, weights * np.vecdot(dev, dev))
     return total
 
