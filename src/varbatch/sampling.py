@@ -8,9 +8,11 @@ copy of it; a sampler's batch holds the sorted array it computed, which
 gradient evaluation reads as it is; an enumerated batch holds its tuple.
 For small populations the full batch space can be enumerated together
 with each batch's exact probability. The exact-expectation oracles in
-:mod:`varbatch.variance` read the same space, in the same order, as numpy
-index blocks whose rows are decoded from their int64 lexicographic ranks
-(:func:`_subset_blocks`), so they refuse a space of more than
+:mod:`varbatch.variance` read the same space, in the same order, without
+building batches: :func:`~varbatch.variance.exact_batch_variance` mostly
+by a walk of its prefix tree, and otherwise as numpy index blocks whose
+rows are decoded from their int64 lexicographic ranks
+(:func:`_subset_blocks`). Either way they refuse a space of more than
 ``(2**63 - 1) // M`` batches, M as in :func:`_subset_population`.
 
 Every module checks its counts with :func:`_check_count`, which batch
@@ -348,10 +350,11 @@ def _subset_population(
     The one check of which sizes a scheme admits: any k >= 1 with
     replacement, 1 <= k <= N without. With replacement M = N + k - 1:
     ``a_j = b_j + j`` maps a canonical multiset b of ``range(N)`` onto a
-    k-subset a of ``range(M)``. A ``ranked`` space, read through
-    :func:`_subset_blocks`, is also refused above ``(2**63 - 1) // M``
-    batches, whatever the cap: its ranks are int64, and the margin of M
-    keeps a decode table row, M - k + 1 values, below 2.7 million.
+    k-subset a of ``range(M)``. A ``ranked`` space, one the oracles may
+    read through :func:`_subset_blocks`, is also refused above
+    ``(2**63 - 1) // M`` batches, whatever the cap: its ranks are int64,
+    and the margin of M keeps a decode table row, M - k + 1 values, below
+    2.7 million.
     """
     _check_count(n_components, "population size", 1)
     _check_count(batch_size, "batch size", 1)

@@ -9,22 +9,34 @@ populations past the enumeration cap. Each checks its sizes, as
 :mod:`varbatch.sampling` does, before it evaluates anything.
 
 The oracles read the batch space in the order of
-:func:`~varbatch.sampling.enumerate_batches`, but as numpy index chunks
-rather than ``Batch`` objects: column-major ``(m, N_S)`` arrays of at most
-``_CHUNK_INDICES`` indices, so memory stays bounded whatever the size of the
-batch space, and decoding, weighing and gathering read whole columns. Each
-batch is weighted by its exact
+:func:`~varbatch.sampling.enumerate_batches`, as numpy blocks rather than
+``Batch`` objects, so memory stays bounded whatever the size of the batch
+space. Each batch is weighted by its exact
 :func:`~varbatch.sampling.batch_probability`, which with replacement is
-computed per chunk in float64 wherever that is exact (see
-:func:`_weighted_chunks`), and the weighted terms are added one at a time in
-enumeration order, so a result is bit-identical to a per-batch Python loop
-over the same batches.
+computed in float64 wherever that is exact (see :func:`_weight_factors`),
+and the weighted terms are added one at a time in enumeration order, so a
+result is bit-identical to a per-batch Python loop over the same batches.
+
+:func:`exact_batch_variance` walks the space as a prefix tree
+(:func:`_tree_sums`) wherever its reference adds a batch's rows one at a
+time, which numpy does with two or more gradient entries, the float
+weights are exact, and the space holds more indices than one chunk:
+batches that share a prefix share its row sum and its run places, each
+computed once. Elsewhere it reads the space as index chunks
+(:func:`_weighted_chunks`): column-major ``(m, N_S)`` arrays of at most
+``_CHUNK_INDICES`` indices, decoded from their int64 ranks, whose rows
+are gathered and summed as a block. With one gradient entry numpy sums
+eight or more rows pairwise, which a running sum cannot reproduce;
+weights that need Python integers are looked up by run pattern;
+:func:`average_batch_covariance` sums squares in numpy's order too; and a
+space within one chunk decodes in fewer numpy calls than its tree takes
+levels. So those take the chunks.
 
 Every batch mean, and the full-gradient mean each estimate is centred on,
 adds its rows in index order, with the reduction that
 :func:`~varbatch.finite_sum.full_gradient` and
-:func:`~varbatch.finite_sum.batch_gradient` use, read along a strided
-batch axis; with one gradient entry (d = 1) it sums a contiguous copy.
+:func:`~varbatch.finite_sum.batch_gradient` use; with one gradient entry
+(d = 1) it sums a contiguous copy.
 """
 from __future__ import annotations
 
@@ -50,6 +62,7 @@ from .sampling import (
     _multiset_probability,
     _subset_blocks,
     _subset_population,
+    count_batches,
     sample_with_replacement,
     sample_without_replacement,
 )
@@ -275,29 +288,39 @@ def exact_batch_variance(
     batches (M = N, or N + N_S - 1 with replacement); a larger space raises
     before anything is evaluated.
 
-    With two or more gradient entries, and with replacement where
-    :func:`_weight_factors` gives floats, the batches' row sums come from a
-    walk of the batch space's prefix tree (:func:`_tree_sums`). Otherwise,
-    where numpy sums a one-entry column pairwise or the weights need Python
-    integers, the space is read as :func:`_weighted_chunks`: a chunk's rows
+    With two or more gradient entries and columns, with replacement where
+    :func:`_weight_factors` gives floats, and where the space holds more
+    than ``_CHUNK_INDICES`` indices, the batches' row sums come from a walk
+    of the batch space's prefix tree (:func:`_tree_sums`). Otherwise the
+    space is read as :func:`_weighted_chunks`: a chunk's rows
     are gathered once by its columns, a contiguous ``(N_S, m, d)`` block,
     and its ``(m, N_S, d)`` transpose is summed over the batch axis, so each
     batch still adds its rows in index order. Either way the result is
     bit for bit the same.
     """
     n = problem.n_components
-    _subset_population(n, batch_size, scheme, cap, ranked=True)
+    chunks = _weighted_chunks(n, batch_size, scheme, cap)  # checks the space first
     grads = gradient_matrix(problem, x)
     center = _row_sum(grads) / len(grads)
-    if grads.shape[1] >= 2 and (
-        scheme is Scheme.WITHOUT_REPLACEMENT
-        or isinstance(_weight_factors(n, batch_size)[1], float)
+    # A tree level costs about a dozen numpy calls per block, a chunk a few
+    # per column, so the walk only gains where batches share prefixes over
+    # more indices than one chunk holds (on a 2-vCPU VM the tree lost up to
+    # 40 us a cell below that, and won from 2,000-5,000 batches on). A
+    # one-column space shares no prefix; its one level would be N nodes.
+    if (
+        grads.shape[1] >= 2
+        and batch_size >= 2
+        and count_batches(n, batch_size, scheme) * batch_size > _CHUNK_INDICES
+        and (
+            scheme is Scheme.WITHOUT_REPLACEMENT
+            or isinstance(_weight_factors(n, batch_size)[1], float)
+        )
     ):
         blocks = _tree_sums(grads, n, batch_size, scheme)
     else:
         blocks = (
             (_row_sum(_rows(grads, idx.T).transpose(1, 0, 2)), weights)
-            for idx, weights in _weighted_chunks(n, batch_size, scheme, cap)
+            for idx, weights in chunks
         )
     total = 0.0
     for sums, weights in blocks:

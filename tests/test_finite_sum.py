@@ -553,7 +553,7 @@ def test_load_dataset_rejects_cells_only_float_reads(tmp_path, cell):
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_load_dataset_reads_a_pipe(tmp_path):
     # A stream that cannot be read twice, as from `--problem <(...)`, is
-    # parsed as its stripped data lines, and gives the bytes of the file.
+    # read as its file is, skipped lines included, and gives the bytes of the file.
     content = b"# header\n\n1,2,1\n# note\n0,1,-1\n  \n2,0,1\n"
     path = tmp_path / "data.csv"
     path.write_bytes(content)
@@ -575,8 +575,8 @@ def test_load_dataset_reads_a_pipe(tmp_path):
     ids=["second-row", "after-skipped-lines"],
 )
 def test_load_dataset_names_the_bad_line_of_a_pipe(tmp_path, content):
-    # A pipe cannot be reread, so its bad line is found among the lines
-    # already read, numbered as in the file.
+    # A bad line read through a pipe is named as the file names it: the
+    # same message, the line numbered as in the file.
     path = tmp_path / "data.csv"
     path.write_bytes(content)
     with pytest.raises(DatasetFormatError) as from_file:

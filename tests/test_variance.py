@@ -269,6 +269,97 @@ def test_chunked_oracles_equal_per_batch_loop(monkeypatch):
                 assert observed == expected
 
 
+def test_both_oracle_paths_equal_per_batch_loop_past_eight_rows(monkeypatch):
+    # N = 9, N_S = 8 and 9: with one gradient entry numpy sums the rows
+    # pairwise and the chunked decode takes the space; with two or nine the
+    # prefix tree does. At 64 indices a tree block holds at most M nodes, so
+    # each with-replacement space (12,870 and 24,310 batches) spans many blocks.
+    for problem, x in oracle_problems(9):
+        for size in (8, 9):
+            expected = [
+                loop_exact_batch_variance(problem, x, size, scheme)
+                for scheme in (WITHOUT, WITH)
+            ]
+            for chunk_indices in (variance._CHUNK_INDICES, 64):
+                monkeypatch.setattr(variance, "_CHUNK_INDICES", chunk_indices)
+                observed = [
+                    exact_batch_variance(problem, x, size, scheme)
+                    for scheme in (WITHOUT, WITH)
+                ]
+                assert observed == expected
+
+
+def test_prefix_tree_takes_float_exact_spaces_past_one_chunk(monkeypatch):
+    # The walk is taken with two or more gradient entries and two or more
+    # columns, where the space holds more indices than one chunk (64 here);
+    # every other space is decoded in chunks.
+    monkeypatch.setattr(variance, "_CHUNK_INDICES", 64)
+    decoded = []
+    subset_blocks = variance._subset_blocks
+
+    def spy(*args):  # a generator: it records a space once a block is read
+        decoded.append(1)
+        yield from subset_blocks(*args)
+
+    monkeypatch.setattr(variance, "_subset_blocks", spy)
+
+    def decodes(problem, x, size, scheme):
+        decoded.clear()
+        exact_batch_variance(problem, x, size, scheme)
+        return bool(decoded)
+
+    trees = 0
+    for problem, x in oracle_problems(8):
+        for size in range(1, 9):
+            for scheme in (WITHOUT, WITH):
+                space = 8 + size - 1 if scheme is WITH else 8
+                tree = problem.dim >= 2 and size >= 2 and math.comb(space, size) * size > 64
+                assert decodes(problem, x, size, scheme) != tree
+                trees += tree
+    assert trees == 2 * (4 + 7)  # two problems with d >= 2: without N_S = 3..6, with 2..8
+    # 2**22 and every divisor of 22! are floats; the odd part of 23! is not,
+    # so with replacement N_S = 23 has keyed weights and is decoded.
+    problem = make_least_squares(np.eye(2), np.array([1.0, -2.0]))
+    x = np.array([0.5, -0.25])
+    assert not decodes(problem, x, 22, WITH)
+    assert decodes(problem, x, 23, WITH)
+    assert exact_batch_variance(problem, x, 22, WITH) == loop_exact_batch_variance(
+        problem, x, 22, WITH
+    )
+
+
+def test_prefix_tree_memory_stays_within_a_block_per_level():
+    # 1,144,066 multisets of 10 from 14 components. The walk holds at most
+    # one partly expanded block per level, each of at most max(M, 16384 // 10)
+    # nodes of four arrays (last index, d-entry sum, run place, product),
+    # and one block of the next level being built: far less than one float
+    # per batch.
+    rng = np.random.default_rng(3)
+    problem = make_least_squares(rng.normal(size=(14, 2)), rng.normal(size=14))
+    x = rng.normal(size=2)
+    size = 10
+    block = max(14 + size - 1, variance._CHUNK_INDICES // size) * 8 * (2 + 3)
+    tracemalloc.start()
+    try:
+        oracle = exact_batch_variance(problem, x, size, WITH, cap=None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (size + 2) * block < 1_144_066 * 8
+    var_comp = component_gradient_variance(problem, x)
+    assert oracle == pytest.approx(var_comp / size, abs=1e-10)
+
+
+def test_prefix_tree_deeper_than_the_recursion_limit():
+    # Subsets of all but one of N values: one tree level per column.
+    size = sys.getrecursionlimit() + 500
+    rng = np.random.default_rng(4)
+    problem = make_least_squares(rng.normal(size=(size + 1, 2)), rng.normal(size=size + 1))
+    x = rng.normal(size=2)
+    oracle = exact_batch_variance(problem, x, size, WITHOUT)
+    assert oracle == loop_exact_batch_variance(problem, x, size, WITHOUT)
+
+
 def test_oracles_never_call_closed_forms(monkeypatch, random_ls):
     def closed_form(*args, **kwargs):
         raise AssertionError("an enumeration oracle called a closed form")
@@ -405,7 +496,8 @@ def test_numpy_chunks_match_itertools_and_batch_probability(scheme):
 
 
 def test_chunk_weights_exact_past_one_word_of_run_flags():
-    # 99 run flags need more than a 64-bit key.
+    # Rows of 100 columns: the keyed path's run-start keys are as long as a
+    # row, and every weight must still equal batch_probability.
     chunks = list(variance._weighted_chunks(2, 100, WITH, None))
     assert variance._run_keys(chunks[0][0]).dtype.kind == "V"
     rows = [tuple(row) for idx, _ in chunks for row in idx.tolist()]
