@@ -20,17 +20,18 @@ result is bit-identical to a per-batch Python loop over the same batches.
 :func:`exact_batch_variance` walks the space as a prefix tree
 (:func:`_tree_sums`) wherever its reference adds a batch's rows one at a
 time, which numpy does with two or more gradient entries, the float
-weights are exact, and the space holds more indices than one chunk:
-batches that share a prefix share its row sum and its run places, each
-computed once. Elsewhere it reads the space as index chunks
+weights are exact, and the space is wide and holds more indices than one
+chunk (see :func:`_walks_tree`): batches that share a prefix share its row
+sum and its run places, each computed once. Elsewhere it reads the space
+as index chunks
 (:func:`_weighted_chunks`): column-major ``(m, N_S)`` arrays of at most
 ``_CHUNK_INDICES`` indices, decoded from their int64 ranks, whose rows
 are gathered and summed as a block. With one gradient entry numpy sums
 eight or more rows pairwise, which a running sum cannot reproduce;
 weights that need Python integers are looked up by run pattern;
 :func:`average_batch_covariance` sums squares in numpy's order too; and a
-space within one chunk decodes in fewer numpy calls than its tree takes
-levels. So those take the chunks.
+small or narrow space decodes in fewer numpy calls than its tree takes
+blocks. So those take the chunks.
 
 Every batch mean, and the full-gradient mean each estimate is centred on,
 adds its rows in index order, with the reduction that
@@ -62,7 +63,6 @@ from .sampling import (
     _multiset_probability,
     _subset_blocks,
     _subset_population,
-    count_batches,
     sample_with_replacement,
     sample_without_replacement,
 )
@@ -255,6 +255,34 @@ def _tree_sums(grads: np.ndarray, n_components: int, batch_size: int, scheme: Sc
             stack.append((depth + 1, (index, sums, *places), bounds, 0))
 
 
+def _walks_tree(dim: int, n_components: int, batch_size: int, scheme: Scheme) -> bool:
+    """Whether :func:`exact_batch_variance` walks the space's prefix tree, not chunks.
+
+    The walk needs a reference that adds a batch's rows one at a time, as
+    numpy does with two or more gradient entries, and exact float weights.
+    A tree level costs about two dozen numpy calls per block where a chunk
+    costs a few per column, so the walk is only taken where batches share
+    their prefixes widely, over more indices than one chunk holds. A space
+    of C(M, k) batches has C(M + 1, k) - 1 tree nodes, about
+    (M + 1) / (M - k + 1) per batch: below 2 while 2k <= M + 1. Past that the
+    prefixes are long, the blocks small and many, and ``verify --n-max 100``
+    took 60 s on the tree against 37 s on chunks (2-vCPU VM); within one
+    chunk the tree lost up to 40 us a cell. A one-column space shares no
+    prefix, and its one level would be a block of N nodes.
+    """
+    population = _subset_population(n_components, batch_size, scheme)
+    return (
+        dim >= 2
+        and 2 <= batch_size
+        and 2 * batch_size <= population + 1
+        and math.comb(population, batch_size) * batch_size > _CHUNK_INDICES
+        and (
+            scheme is Scheme.WITHOUT_REPLACEMENT
+            or isinstance(_weight_factors(n_components, batch_size)[1], float)
+        )
+    )
+
+
 def _run_keys(idx: np.ndarray) -> np.ndarray:
     """One key per sorted row of ``idx``, equal exactly when its runs start alike.
 
@@ -288,11 +316,9 @@ def exact_batch_variance(
     batches (M = N, or N + N_S - 1 with replacement); a larger space raises
     before anything is evaluated.
 
-    With two or more gradient entries and columns, with replacement where
-    :func:`_weight_factors` gives floats, and where the space holds more
-    than ``_CHUNK_INDICES`` indices, the batches' row sums come from a walk
-    of the batch space's prefix tree (:func:`_tree_sums`). Otherwise the
-    space is read as :func:`_weighted_chunks`: a chunk's rows
+    Where :func:`_walks_tree` allows it, the batches' row sums come from a
+    walk of the batch space's prefix tree (:func:`_tree_sums`). Otherwise
+    the space is read as :func:`_weighted_chunks`: a chunk's rows
     are gathered once by its columns, a contiguous ``(N_S, m, d)`` block,
     and its ``(m, N_S, d)`` transpose is summed over the batch axis, so each
     batch still adds its rows in index order. Either way the result is
@@ -302,20 +328,7 @@ def exact_batch_variance(
     chunks = _weighted_chunks(n, batch_size, scheme, cap)  # checks the space first
     grads = gradient_matrix(problem, x)
     center = _row_sum(grads) / len(grads)
-    # A tree level costs about a dozen numpy calls per block, a chunk a few
-    # per column, so the walk only gains where batches share prefixes over
-    # more indices than one chunk holds (on a 2-vCPU VM the tree lost up to
-    # 40 us a cell below that, and won from 2,000-5,000 batches on). A
-    # one-column space shares no prefix; its one level would be N nodes.
-    if (
-        grads.shape[1] >= 2
-        and batch_size >= 2
-        and count_batches(n, batch_size, scheme) * batch_size > _CHUNK_INDICES
-        and (
-            scheme is Scheme.WITHOUT_REPLACEMENT
-            or isinstance(_weight_factors(n, batch_size)[1], float)
-        )
-    ):
+    if _walks_tree(grads.shape[1], n, batch_size, scheme):
         blocks = _tree_sums(grads, n, batch_size, scheme)
     else:
         blocks = (

@@ -289,10 +289,10 @@ def test_both_oracle_paths_equal_per_batch_loop_past_eight_rows(monkeypatch):
                 assert observed == expected
 
 
-def test_prefix_tree_takes_float_exact_spaces_past_one_chunk(monkeypatch):
-    # The walk is taken with two or more gradient entries and two or more
-    # columns, where the space holds more indices than one chunk (64 here);
-    # every other space is decoded in chunks.
+def test_exact_variance_walks_the_tree_only_where_prefixes_are_shared(monkeypatch):
+    # The walk is taken with two or more gradient entries and columns, where
+    # 2 * N_S <= M + 1 and the space holds more indices than one chunk (64
+    # here); every other space is decoded in chunks.
     monkeypatch.setattr(variance, "_CHUNK_INDICES", 64)
     decoded = []
     subset_blocks = variance._subset_blocks
@@ -313,19 +313,20 @@ def test_prefix_tree_takes_float_exact_spaces_past_one_chunk(monkeypatch):
         for size in range(1, 9):
             for scheme in (WITHOUT, WITH):
                 space = 8 + size - 1 if scheme is WITH else 8
-                tree = problem.dim >= 2 and size >= 2 and math.comb(space, size) * size > 64
+                tree = (
+                    problem.dim >= 2
+                    and 2 <= size <= (space + 1) // 2
+                    and math.comb(space, size) * size > 64
+                )
                 assert decodes(problem, x, size, scheme) != tree
                 trees += tree
-    assert trees == 2 * (4 + 7)  # two problems with d >= 2: without N_S = 3..6, with 2..8
-    # 2**22 and every divisor of 22! are floats; the odd part of 23! is not,
-    # so with replacement N_S = 23 has keyed weights and is decoded.
-    problem = make_least_squares(np.eye(2), np.array([1.0, -2.0]))
-    x = np.array([0.5, -0.25])
-    assert not decodes(problem, x, 22, WITH)
-    assert decodes(problem, x, 23, WITH)
-    assert exact_batch_variance(problem, x, 22, WITH) == loop_exact_batch_variance(
-        problem, x, 22, WITH
-    )
+    assert trees == 2 * (2 + 7)  # two problems with d >= 2: without N_S = 3, 4; with 2..8
+    # Keyed weights are decoded, forced here: past N_S = 22 every space wide
+    # enough for the walk (N >= N_S) is far above the cap.
+    monkeypatch.setattr(variance, "_EXACT_FLOATS", 1)
+    for problem, x in list(oracle_problems(8))[1:]:
+        assert decodes(problem, x, 5, WITH)
+        assert not decodes(problem, x, 4, WITHOUT)
 
 
 def test_prefix_tree_memory_stays_within_a_block_per_level():
@@ -350,8 +351,10 @@ def test_prefix_tree_memory_stays_within_a_block_per_level():
     assert oracle == pytest.approx(var_comp / size, abs=1e-10)
 
 
-def test_prefix_tree_deeper_than_the_recursion_limit():
-    # Subsets of all but one of N values: one tree level per column.
+def test_prefix_tree_deeper_than_the_recursion_limit(monkeypatch):
+    # Subsets of all but one of N values, one tree level per column. Such
+    # narrow spaces are decoded in chunks; the walk is forced onto this one.
+    monkeypatch.setattr(variance, "_walks_tree", lambda *args: True)
     size = sys.getrecursionlimit() + 500
     rng = np.random.default_rng(4)
     problem = make_least_squares(rng.normal(size=(size + 1, 2)), rng.normal(size=size + 1))
