@@ -43,7 +43,8 @@ from .variance import analytic_variance, exact_batch_variance
 VERIFY_TOLERANCE = 1e-10
 # Largest accepted values of the flags that size a command's work, checked
 # before any work starts. On a 2-vCPU x86 VM, verify --n-max 100 at the
-# default cap took 48 s, and growth-curve --kmax 1000000 took 7.5 s and 0.3 GB.
+# default cap took 26 s (48 s when the limit was set), and growth-curve
+# --kmax 1000000 took 7.5 s and 0.3 GB.
 N_MAX_LIMIT = 100
 KMAX_LIMIT = 1_000_000
 # growth-curve rows computed and written at a time.

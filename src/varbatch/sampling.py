@@ -9,9 +9,9 @@ gradient evaluation reads as it is; an enumerated batch holds its tuple.
 For small populations the full batch space can be enumerated together
 with each batch's exact probability. The exact-expectation oracles in
 :mod:`varbatch.variance` read the same space, in the same order, without
-building batches: :func:`~varbatch.variance.exact_batch_variance` a large
-one by a walk of its prefix tree, and otherwise as numpy index blocks whose
-rows are decoded from their int64 lexicographic ranks
+building batches: :func:`~varbatch.variance.exact_batch_variance` a wide,
+large one by a walk of its prefix tree, and otherwise as numpy index
+blocks whose rows are decoded from their int64 lexicographic ranks
 (:func:`_subset_blocks`). Either way they refuse a space of more than
 ``(2**63 - 1) // M`` batches, M as in :func:`_subset_population`.
 

@@ -265,10 +265,11 @@ def _walks_tree(dim: int, n_components: int, batch_size: int, scheme: Scheme) ->
     their prefixes widely, over more indices than one chunk holds. A space
     of C(M, k) batches has C(M + 1, k) - 1 tree nodes, about
     (M + 1) / (M - k + 1) per batch: below 2 while 2k <= M + 1. Past that the
-    prefixes are long, the blocks small and many, and ``verify --n-max 100``
-    took 60 s on the tree against 37 s on chunks (2-vCPU VM); within one
-    chunk the tree lost up to 40 us a cell. A one-column space shares no
-    prefix, and its one level would be a block of N nodes.
+    prefixes are long, the blocks small and many: with the tree on every
+    space past one chunk, ``verify --n-max 100`` took 59 s against 30 s on
+    chunks alone and 26 s with this rule (2-vCPU VM). Within one chunk the
+    tree lost up to 40 us a cell. A one-column space shares no prefix, and
+    its one level would be a block of N nodes.
     """
     population = _subset_population(n_components, batch_size, scheme)
     return (
