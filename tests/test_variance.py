@@ -271,9 +271,10 @@ def test_chunked_oracles_equal_per_batch_loop(monkeypatch):
 
 def test_both_oracle_paths_equal_per_batch_loop_past_eight_rows(monkeypatch):
     # N = 9, N_S = 8 and 9: with one gradient entry numpy sums the rows
-    # pairwise and the chunked decode takes the space; with two or nine the
-    # prefix tree does. At 64 indices a tree block holds at most M nodes, so
-    # each with-replacement space (12,870 and 24,310 batches) spans many blocks.
+    # pairwise and the chunked decode takes every space; with two or nine
+    # the prefix tree takes the with-replacement spaces (12,870 and 24,310
+    # batches), and at 64 indices, where a tree block holds at most M nodes,
+    # each spans many blocks. The narrow subset spaces are decoded.
     for problem, x in oracle_problems(9):
         for size in (8, 9):
             expected = [
