@@ -348,7 +348,8 @@ def _subset_population(
     """The M whose k-subsets the batch space maps onto, checked against ``cap`` if given.
 
     The one check of which sizes a scheme admits: any k >= 1 with
-    replacement, 1 <= k <= N without. With replacement M = N + k - 1:
+    replacement, 1 <= k <= N without; a ``cap`` given is a count of at
+    least 1 (see :func:`_check_count`). With replacement M = N + k - 1:
     ``a_j = b_j + j`` maps a canonical multiset b of ``range(N)`` onto a
     k-subset a of ``range(M)``. A ``ranked`` space, one the oracles may
     read through :func:`_subset_blocks`, is also refused above
@@ -363,7 +364,9 @@ def _subset_population(
         population += batch_size - 1
     elif batch_size > n_components:
         raise ValueError(f"batch size must be in [1, {n_components}], got {batch_size}")
-    if cap is None and not ranked:
+    if cap is not None:
+        _check_count(cap, "enumeration cap", 1)
+    elif not ranked:
         return population
     reason, limit = "the enumeration cap", (2**63 - 1) // population
     if ranked and (cap is None or cap > limit):
@@ -462,18 +465,9 @@ def _index_probability(indices, scheme: Scheme, n_components: int) -> float:
     k = len(indices)
     if scheme is Scheme.WITHOUT_REPLACEMENT:
         return 1 / math.comb(n_components, k)
-    # A Python int power: a numpy integer N would wrap around in int64.
-    return _multiset_probability(indices, math.factorial(k), int(n_components) ** k)
-
-
-def _multiset_probability(indices, orderings: int, draws: int) -> float:
-    """``orderings / prod(multiplicity!) / draws`` for sorted ``indices``.
-
-    With ``orderings`` = k! and ``draws`` = N**k, the with-replacement
-    probability of the multiset; a caller weighing many multisets of one
-    space computes the two once.
-    """
+    orderings = math.factorial(k)
     # Sorted indices sit in runs, one per distinct value, as long as its multiplicity.
     for _, run in groupby(indices):
         orderings //= math.factorial(len(list(run)))
-    return orderings / draws
+    # A Python int power: a numpy integer N would wrap around in int64.
+    return orderings / int(n_components) ** k

@@ -10,28 +10,32 @@ populations past the enumeration cap. Each checks its sizes, as
 
 The oracles read the batch space in the order of
 :func:`~varbatch.sampling.enumerate_batches`, as numpy blocks rather than
-``Batch`` objects, so memory stays bounded whatever the size of the batch
-space. Each batch is weighted by its exact
-:func:`~varbatch.sampling.batch_probability`, which with replacement is
-computed in float64 wherever that is exact (see :func:`_weight_factors`),
-and the weighted terms are added one at a time in enumeration order, so a
-result is bit-identical to a per-batch Python loop over the same batches.
+``Batch`` objects. Each batch is weighted by its exact
+:func:`~varbatch.sampling.batch_probability`, which with replacement comes
+from the product of its run places, in float64 where that is exact and in
+Python integers otherwise (see :func:`_weight_rule`), and the weighted
+terms are added one at a time in enumeration order, so a result is
+bit-identical to a per-batch Python loop over the same batches.
 
 :func:`exact_batch_variance` walks the space as a prefix tree
 (:func:`_tree_sums`) wherever its reference adds a batch's rows one at a
-time, which numpy does with two or more gradient entries, the float
-weights are exact, and the space is wide and holds more indices than one
-chunk (see :func:`_walks_tree`): batches that share a prefix share its row
-sum and its run places, each computed once. Elsewhere it reads the space
-as index chunks
+time, which numpy does with two or more gradient entries, and the space is
+wide and holds more indices than one chunk (see :func:`_walks_tree`):
+batches that share a prefix share its row sum and its run places, each
+computed once. Elsewhere it reads the space as index chunks
 (:func:`_weighted_chunks`): column-major ``(m, N_S)`` arrays of at most
 ``_CHUNK_INDICES`` indices, decoded from their int64 ranks, whose rows
 are gathered and summed as a block. With one gradient entry numpy sums
 eight or more rows pairwise, which a running sum cannot reproduce;
-weights that need Python integers are looked up by run pattern;
 :func:`average_batch_covariance` sums squares in numpy's order too; and a
 small or narrow space decodes in fewer numpy calls than its tree takes
 blocks. So those take the chunks.
+
+Besides the gradient matrix, memory does not grow with the number of
+batches: a chunk holds at most ``_CHUNK_INDICES`` indices, and the tree at
+most N_S + 1 blocks of ``max(M, _CHUNK_INDICES // N_S)`` nodes each, one
+partly expanded block per level and the one being built (M = N, or
+N + N_S - 1 with replacement).
 
 Every batch mean, and the full-gradient mean each estimate is centred on,
 adds its rows in index order, with the reduction that
@@ -60,7 +64,6 @@ from .sampling import (
     SeededRng,
     _check_count,
     _index_probability,
-    _multiset_probability,
     _subset_blocks,
     _subset_population,
     sample_with_replacement,
@@ -108,22 +111,31 @@ def analytic_variance(
     return analytic_variance_without_replacement(var_comp, n_components, batch_size)
 
 
-def _weight_factors(n_components: int, batch_size: int) -> tuple:
-    """k! and N**k for with-replacement weights: float64 where that is exact, else ints.
+def _weight_rule(n_components: int, batch_size: int, scheme: Scheme) -> tuple:
+    """``(dtype, weigh)``: how both oracle readers weigh a block of batches.
 
-    A multiset's weight is k! / prod(multiplicity!) / N**k. While the odd
-    part of k! is below 2**53 (k <= 22) and N**k is a float64, both come as
-    floats: prod(multiplicity!) divides k!, so every partial product of run
-    places and k! / P are exact integers, and the one division by N**k
+    Without replacement every batch has the probability of the first,
+    range(k), and ``weigh`` returns it for any argument. With
+    replacement ``weigh(product)`` maps the batches' products of run
+    places, prod(multiplicity!) held in ``dtype``, to their weights
+    k! / product / N**k, equal to ``batch_probability`` bit for bit. While
+    the odd part of k! is below 2**53 (k <= 22) and N**k is a float64, the
+    places are float64: the product divides k!, so every partial product
+    and k! / product are exact integers, and the one division by N**k
     rounds as the integer division in ``batch_probability`` does.
-    Otherwise both stay Python integers.
+    Otherwise they are Python integers (``object``), and the weights are
+    that division itself.
     """
+    if scheme is Scheme.WITHOUT_REPLACEMENT:
+        weight = _index_probability(range(batch_size), scheme, n_components)
+        return None, lambda product: weight
     orderings = math.factorial(batch_size)
     draws = int(n_components) ** batch_size  # a numpy N would wrap in int64
     odd = orderings >> (orderings & -orderings).bit_length() - 1
     if odd < _EXACT_FLOATS and float(draws) == draws:
-        return float(orderings), float(draws)
-    return orderings, draws
+        orderings, draws = float(orderings), float(draws)
+        return np.float64, lambda product: orderings / product / draws
+    return object, lambda product: (orderings // product / draws).astype(float)
 
 
 def _weighted_chunks(n_components: int, batch_size: int, scheme: Scheme, cap):
@@ -132,59 +144,34 @@ def _weighted_chunks(n_components: int, batch_size: int, scheme: Scheme, cap):
     ``idx`` holds m = ``max(1, _CHUNK_INDICES // batch_size)`` consecutive
     batches, fewer in the last chunk, column-major as ``_subset_blocks``
     yields it; ``weights[i]`` is the exact
-    :func:`~varbatch.sampling.batch_probability` of row i. The cap, and the
-    limit of the chunks' int64 rank decode, are checked at the call, before
-    any chunk is built.
-
-    With replacement, where :func:`_weight_factors` gives floats, each
-    chunk's weights come in float64 from the rows' run places, read along
-    its contiguous columns, equal to ``batch_probability`` bit for bit.
-    Otherwise the rows are keyed by where their runs start, and each new
-    key's weight is computed in Python integers from one of its rows.
+    :func:`~varbatch.sampling.batch_probability` of row i, from the product
+    of the row's run places, read along the chunk's contiguous columns
+    (see :func:`_weight_rule`). The cap, and the limit of the chunks' int64
+    rank decode, are checked at the call, before any chunk is built.
     """
     population = _subset_population(n_components, batch_size, scheme, cap, ranked=True)
     rows = max(1, _CHUNK_INDICES // batch_size)
     chunks = _subset_blocks(population, batch_size, rows)
+    dtype, weigh = _weight_rule(n_components, batch_size, scheme)
     if scheme is Scheme.WITHOUT_REPLACEMENT:
-        # Every subset has the probability of the first, range(batch_size).
-        weight = _index_probability(range(batch_size), scheme, n_components)
-        return ((idx, np.full(len(idx), weight)) for idx in chunks)
+        return ((idx, np.full(len(idx), weigh(None))) for idx in chunks)
     offsets = np.arange(batch_size)
-    orderings, draws = _weight_factors(n_components, batch_size)
-    if isinstance(draws, float):
 
-        def weigh(idx: np.ndarray) -> tuple:
-            idx -= offsets  # multisets from subsets of range(N + k - 1): b_j = a_j - j
-            # Column j's place in its run is 1 where the run starts, else one
-            # more than column j - 1's; the product of the places is
-            # prod(multiplicity!).
-            columns = idx.T
-            place = np.ones(len(idx))
-            product = np.ones(len(idx))
-            for same in columns[1:] == columns[:-1]:
-                place *= same
-                place += 1
-                product *= place
-            return idx, orderings / product / draws
+    def weighted(idx: np.ndarray) -> tuple:
+        idx -= offsets  # multisets from subsets of range(N + k - 1): b_j = a_j - j
+        # Column j's place in its run is 1 where the run starts, else one
+        # more than column j - 1's; the product of the places is
+        # prod(multiplicity!).
+        columns = idx.T
+        place = np.ones(len(idx), dtype)
+        product = np.ones(len(idx), dtype)
+        for same in columns[1:] == columns[:-1]:
+            place *= same
+            place += 1
+            product *= place
+        return idx, weigh(product)
 
-        return map(weigh, chunks)
-    # A multiset's probability depends only on the columns where its runs of
-    # equal indices start, so it is computed once per such pattern and call.
-    by_key: dict = {}
-
-    def weigh(idx: np.ndarray) -> tuple:
-        idx -= offsets
-        keys, first, inverse = np.unique(
-            _run_keys(idx), return_index=True, return_inverse=True
-        )
-        keys = keys.tolist()
-        # Every row with a key has that key's probability; read the first.
-        for key, i in zip(keys, first.tolist()):
-            if key not in by_key:
-                by_key[key] = _multiset_probability(idx[i].tolist(), orderings, draws)
-        return idx, np.array([by_key[key] for key in keys]).take(inverse)
-
-    return map(weigh, chunks)
+    return map(weighted, chunks)
 
 
 def _tree_sums(grads: np.ndarray, n_components: int, batch_size: int, scheme: Scheme):
@@ -194,9 +181,8 @@ def _tree_sums(grads: np.ndarray, n_components: int, batch_size: int, scheme: Sc
     in index order from +0.0, as :func:`~varbatch.finite_sum._row_sum` adds
     them with two or more entries per row, and ``weights[i]`` (a scalar
     without replacement) its :func:`~varbatch.sampling.batch_probability`,
-    computed as the float path of :func:`_weighted_chunks` computes it;
-    the batches come in enumeration order. With replacement the
-    :func:`_weight_factors` must be floats. The caller checks the space.
+    computed by :func:`_weight_rule` as :func:`_weighted_chunks` computes
+    it; the batches come in enumeration order. The caller checks the space.
 
     A node at depth j is a prefix a_0 < ... < a_{j-1} of the batches'
     subsets of range(M), M as in ``_subset_population``: it holds a_{j-1},
@@ -211,10 +197,7 @@ def _tree_sums(grads: np.ndarray, n_components: int, batch_size: int, scheme: Sc
     them depth first, each block's parents in order.
     """
     runs = scheme is Scheme.WITH_REPLACEMENT
-    if runs:
-        orderings, draws = _weight_factors(n_components, batch_size)
-    else:
-        weight = _index_probability(range(batch_size), scheme, n_components)
+    dtype, weigh = _weight_rule(n_components, batch_size, scheme)
     population = n_components + batch_size - 1 if runs else n_components
     limit = max(population, _CHUNK_INDICES // batch_size)
     # Each entry: the depth, the block's nodes, the prefix sums of their child
@@ -223,7 +206,7 @@ def _tree_sums(grads: np.ndarray, n_components: int, batch_size: int, scheme: Sc
     # runs at place 1.
     root = (np.array([-1]), np.zeros((1, grads.shape[1])))
     if runs:
-        root += (np.zeros(1), np.ones(1))
+        root += (np.zeros(1, dtype), np.ones(1, dtype))
     stack = [(0, root, np.array([0, population - batch_size + 1]), 0)]
     while stack:
         depth, nodes, bounds, start = stack.pop()
@@ -243,11 +226,11 @@ def _tree_sums(grads: np.ndarray, n_components: int, batch_size: int, scheme: Sc
             # index (b_j = a_j - j), one place further along its run; every
             # other child starts a run.
             place, product = places
-            place_child = np.ones(len(index))
+            place_child = np.ones(len(index), dtype)
             place_child[ends - counts] += place
             places = (place_child, np.repeat(product, counts) * place_child)
         if depth + 1 == batch_size:
-            yield sums, orderings / places[1] / draws if runs else weight
+            yield sums, weigh(places[1] if runs else None)
         else:
             counts = top + 1 - index
             bounds = np.zeros(len(index) + 1, counts.dtype)
@@ -259,17 +242,17 @@ def _walks_tree(dim: int, n_components: int, batch_size: int, scheme: Scheme) ->
     """Whether :func:`exact_batch_variance` walks the space's prefix tree, not chunks.
 
     The walk needs a reference that adds a batch's rows one at a time, as
-    numpy does with two or more gradient entries, and exact float weights.
-    A tree level costs about two dozen numpy calls per block where a chunk
-    costs a few per column, so the walk is only taken where batches share
-    their prefixes widely, over more indices than one chunk holds. A space
-    of C(M, k) batches has C(M + 1, k) - 1 tree nodes, about
-    (M + 1) / (M - k + 1) per batch: below 2 while 2k <= M + 1. Past that the
-    prefixes are long, the blocks small and many: with the tree on every
-    space past one chunk, ``verify --n-max 100`` took 59 s against 30 s on
-    chunks alone and 26 s with this rule (2-vCPU VM). Within one chunk the
-    tree lost up to 40 us a cell. A one-column space shares no prefix, and
-    its one level would be a block of N nodes.
+    numpy does with two or more gradient entries. A tree level costs about
+    two dozen numpy calls per block where a chunk costs a few per column,
+    so the walk is only taken where batches share their prefixes widely,
+    over more indices than one chunk holds. A space of C(M, k) batches has
+    C(M + 1, k) - 1 tree nodes, about (M + 1) / (M - k + 1) per batch:
+    below 2 while 2k <= M + 1. Past that the prefixes are long, the blocks
+    small and many: with the tree on every space past one chunk,
+    ``verify --n-max 100`` took 59 s against 30 s on chunks alone and 26 s
+    with this rule (2-vCPU VM). Within one chunk the tree lost up to 40 us
+    a cell. A one-column space shares no prefix, and its one level would be
+    a block of N nodes.
     """
     population = _subset_population(n_components, batch_size, scheme)
     return (
@@ -277,22 +260,7 @@ def _walks_tree(dim: int, n_components: int, batch_size: int, scheme: Scheme) ->
         and 2 <= batch_size
         and 2 * batch_size <= population + 1
         and math.comb(population, batch_size) * batch_size > _CHUNK_INDICES
-        and (
-            scheme is Scheme.WITHOUT_REPLACEMENT
-            or isinstance(_weight_factors(n_components, batch_size)[1], float)
-        )
     )
-
-
-def _run_keys(idx: np.ndarray) -> np.ndarray:
-    """One key per sorted row of ``idx``, equal exactly when its runs start alike.
-
-    A key is the row's run-start flags, one byte per column; column 0
-    starts a run in every row.
-    """
-    starts = np.ones(idx.shape, bool)
-    np.not_equal(idx[:, 1:], idx[:, :-1], out=starts[:, 1:])
-    return starts.view(np.dtype((np.void, idx.shape[1])))[:, 0]
 
 
 def _add_in_order(total: float, terms: np.ndarray) -> float:
@@ -318,12 +286,13 @@ def exact_batch_variance(
     before anything is evaluated.
 
     Where :func:`_walks_tree` allows it, the batches' row sums come from a
-    walk of the batch space's prefix tree (:func:`_tree_sums`). Otherwise
-    the space is read as :func:`_weighted_chunks`: a chunk's rows
-    are gathered once by its columns, a contiguous ``(N_S, m, d)`` block,
-    and its ``(m, N_S, d)`` transpose is summed over the batch axis, so each
-    batch still adds its rows in index order. Either way the result is
-    bit for bit the same.
+    walk of the batch space's prefix tree (:func:`_tree_sums`), which holds
+    at most N_S + 1 blocks of ``max(M, _CHUNK_INDICES // N_S)`` nodes.
+    Otherwise the space is read as :func:`_weighted_chunks`: a chunk's
+    rows are gathered once by its columns, a contiguous ``(N_S, m, d)``
+    block, and its ``(m, N_S, d)`` transpose is summed over the batch axis,
+    so each batch still adds its rows in index order. Either way the result
+    is bit for bit the same.
     """
     n = problem.n_components
     chunks = _weighted_chunks(n, batch_size, scheme, cap)  # checks the space first

@@ -1,5 +1,5 @@
 """Property checks of the size rules' defining inequalities, the samplers, the
-batch-mean primitives and the dataset parser.
+batch-mean primitives, the dataset parser and the exact variance oracle.
 
 Examples are derandomized and no example database is kept, so the suite
 stays deterministic.
@@ -7,13 +7,20 @@ stays deterministic.
 import tempfile
 from itertools import islice
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import configuration, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import dense_sample_without_replacement, dict_loop_batch, reference_load_dataset
+import varbatch.variance as variance
+from helpers import (
+    dense_sample_without_replacement,
+    dict_loop_batch,
+    loop_exact_batch_variance,
+    reference_load_dataset,
+)
 from varbatch import (
     BatchSizeRule,
     EpsilonSchedule,
@@ -23,7 +30,9 @@ from varbatch import (
     analytic_variance_with_replacement,
     analytic_variance_without_replacement,
     batch_sizes,
+    exact_batch_variance,
     load_dataset,
+    make_least_squares,
     min_batch_with_replacement,
     min_batch_without_replacement,
     sample_with_replacement,
@@ -245,3 +254,34 @@ def test_weighted_mean_matches_numpy_bit_for_bit(drawn):
     # a zeroed output: the same bytes once a -0.0 is read as +0.0.
     einsum_block = np.einsum("...ij,...i->...ij", rows, s)
     assert (einsum_block + 0.0).tobytes() == (block + 0.0).tobytes()
+
+
+@examples
+@given(
+    seed=st.integers(0, 2**32),
+    n=st.integers(1, 6),
+    size_share=st.floats(0, 1),
+    scheme=st.sampled_from(Scheme),
+    dim=st.sampled_from([1, 2, 5]),
+    chunk_indices=st.sampled_from([7, 64, variance._CHUNK_INDICES]),
+    exact_floats=st.sampled_from([1, 2**53]),
+)
+# Weights in Python integers (no float is exact below 1), on the prefix
+# tree (d >= 2, a wide space past one chunk) and on the chunks (d = 1).
+@example(seed=1, n=6, size_share=0.5, scheme=Scheme.WITH_REPLACEMENT, dim=2,
+         chunk_indices=64, exact_floats=1)
+@example(seed=2, n=6, size_share=1.0, scheme=Scheme.WITH_REPLACEMENT, dim=1,
+         chunk_indices=7, exact_floats=1)
+def test_exact_variance_matches_per_batch_loop_bit_for_bit(
+    seed, n, size_share, scheme, dim, chunk_indices, exact_floats
+):
+    largest = n if scheme is Scheme.WITHOUT_REPLACEMENT else 6
+    size = 1 + int(size_share * (largest - 1))
+    rng = np.random.default_rng(seed)
+    problem = make_least_squares(rng.normal(size=(n, dim)), rng.normal(size=n))
+    x = rng.normal(size=dim)
+    expected = loop_exact_batch_variance(problem, x, size, scheme)
+    with patch.object(variance, "_CHUNK_INDICES", chunk_indices), patch.object(
+        variance, "_EXACT_FLOATS", exact_floats
+    ):
+        assert exact_batch_variance(problem, x, size, scheme) == expected

@@ -322,12 +322,16 @@ def test_exact_variance_walks_the_tree_only_where_prefixes_are_shared(monkeypatc
                 assert decodes(problem, x, size, scheme) != tree
                 trees += tree
     assert trees == 2 * (2 + 7)  # two problems with d >= 2: without N_S = 3, 4; with 2..8
-    # Keyed weights are decoded, forced here: past N_S = 22 every space wide
-    # enough for the walk (N >= N_S) is far above the cap.
+    # Weights in Python integers walk the tree too, forced here: past
+    # N_S = 22 every space wide enough for the walk (N >= N_S) is far above
+    # the cap.
     monkeypatch.setattr(variance, "_EXACT_FLOATS", 1)
+    assert variance._weight_rule(8, 5, WITH)[0] is object
     for problem, x in list(oracle_problems(8))[1:]:
-        assert decodes(problem, x, 5, WITH)
+        assert not decodes(problem, x, 5, WITH)
         assert not decodes(problem, x, 4, WITHOUT)
+        oracle = exact_batch_variance(problem, x, 5, WITH)
+        assert oracle == loop_exact_batch_variance(problem, x, 5, WITH)
 
 
 def test_prefix_tree_memory_stays_within_a_block_per_level():
@@ -459,6 +463,25 @@ def test_oracles_refuse_space_above_cap_before_evaluating():
     assert evaluated == []
 
 
+@pytest.mark.parametrize("cap", [float("nan"), 1.5, True, "10", 0, -1])
+def test_oracles_refuse_a_cap_that_is_not_a_count_before_evaluating(cap):
+    # No comparison holds for NaN: an unchecked NaN cap would turn off both
+    # the cap and the int64 rank limit, and C(3000, 1500) subsets would
+    # reach the rank decode.
+    def gradient(i, x):
+        raise AssertionError("evaluated a gradient")
+
+    for n, size in ((10, 5), (3000, 1500)):
+        problem = FiniteSumProblem(1, n, lambda i, x: 0.0, gradient)
+        for scheme in (WITHOUT, WITH):
+            with pytest.raises(ValueError, match="enumeration cap"):
+                exact_batch_variance(problem, X0, size, scheme, cap=cap)
+            with pytest.raises(ValueError, match="enumeration cap"):
+                enumerate_batches(n, size, scheme, cap=cap)
+        with pytest.raises(ValueError, match="enumeration cap"):
+            average_batch_covariance(problem, X0, size, cap=cap)
+
+
 @pytest.mark.parametrize(("n", "size"), [(2, 64), (3, 40), (2, 600)])
 def test_chunk_weights_stay_exact_for_long_batches(n, size):
     # k! overflows 64-bit integers from k = 21 on; the weights must not.
@@ -499,26 +522,15 @@ def test_numpy_chunks_match_itertools_and_batch_probability(scheme):
         assert weights == [batch_probability(b, 9) for b in enumerate_batches(9, size, scheme)]
 
 
-def test_chunk_weights_exact_past_one_word_of_run_flags():
-    # Rows of 100 columns: the keyed path's run-start keys are as long as a
-    # row, and every weight must still equal batch_probability.
-    chunks = list(variance._weighted_chunks(2, 100, WITH, None))
-    assert variance._run_keys(chunks[0][0]).dtype.kind == "V"
-    rows = [tuple(row) for idx, _ in chunks for row in idx.tolist()]
-    assert rows == list(combinations_with_replacement(range(2), 100))
-    weights = [w for _, chunk in chunks for w in chunk.tolist()]
-    batches = enumerate_batches(2, 100, WITH, cap=None)
-    assert weights == [batch_probability(b, 2) for b in batches]
-
-
 @pytest.mark.parametrize(
-    ("n", "size", "keyed"),
+    ("n", "size", "python_ints"),
     [(7, 18, False), (8, 18, False), (9, 18, True), (5, 22, False), (2, 23, True)],
 )
-def test_chunk_weights_exact_on_both_sides_of_the_float_path(monkeypatch, n, size, keyed):
+def test_chunk_weights_exact_on_both_sides_of_the_float_path(monkeypatch, n, size, python_ints):
     # 7**18, 8**18 = 2**54 and 5**22 are floats, and so are k! up to 22! =
-    # 2**19 * 2.1e15 and all their divisors: these spaces take the float path.
-    # 9**18 is not a float, and the odd part of 23! is above 2**53: these are keyed.
+    # 2**19 * 2.1e15 and all their divisors: these spaces weigh in float64.
+    # 9**18 is not a float, and the odd part of 23! is above 2**53: these
+    # weigh in Python integers.
     # The blocks are the space's first and last chunks, built by itertools
     # (the rank decode that builds them otherwise is tested above), so the
     # millions of rows between are not decoded.
@@ -532,10 +544,9 @@ def test_chunk_weights_exact_on_both_sides_of_the_float_path(monkeypatch, n, siz
     ]
     blocks = [np.array(batches) + np.arange(size) for batches in ends]
     monkeypatch.setattr(variance, "_subset_blocks", lambda *args: iter(blocks))
-    run_keys, keyed_chunks = variance._run_keys, []
-    monkeypatch.setattr(variance, "_run_keys", lambda idx: keyed_chunks.append(1) or run_keys(idx))
+    assert (variance._weight_rule(n, size, WITH)[0] is object) == python_ints
     chunks = list(variance._weighted_chunks(n, size, WITH, None))
-    assert len(chunks) == 2 and len(keyed_chunks) == 2 * keyed
+    assert len(chunks) == 2
     for batches, (idx, weights) in zip(ends, chunks):
         assert [tuple(row) for row in idx.tolist()] == batches
         assert weights.tolist() == [batch_probability(Batch(b, WITH), n) for b in batches]
@@ -543,33 +554,42 @@ def test_chunk_weights_exact_on_both_sides_of_the_float_path(monkeypatch, n, siz
 
 def test_keyed_weights_give_the_float_path_oracles(monkeypatch):
     # Every with-replacement cell of verify --n-max 6, on the same problems,
-    # first on the float path, then with every space forced onto the keyed one.
+    # first weighed in float64, then with every space forced onto Python
+    # integers.
     rng = SeededRng(0)
     cells = []
     for n in range(1, 7):
         problem = make_least_squares(rng.normal(size=(n, 2)), rng.normal(size=n))
         x = rng.normal(size=2)
         cells += [(problem, x, size) for size in range(1, n + 1)]
+    rule, dtypes = variance._weight_rule, []
+
+    def spy(*args):
+        dtype, weigh = rule(*args)
+        dtypes.append(dtype)
+        return dtype, weigh
+
+    monkeypatch.setattr(variance, "_weight_rule", spy)
     oracles = [exact_batch_variance(problem, x, size, WITH) for problem, x, size in cells]
+    assert len(dtypes) == len(cells) and set(dtypes) == {np.float64}
+    dtypes.clear()
     monkeypatch.setattr(variance, "_EXACT_FLOATS", 1)
-    run_keys, keyed_chunks = variance._run_keys, []
-    monkeypatch.setattr(variance, "_run_keys", lambda idx: keyed_chunks.append(1) or run_keys(idx))
     assert [exact_batch_variance(problem, x, size, WITH) for problem, x, size in cells] == oracles
-    assert len(keyed_chunks) >= len(cells)
+    assert len(dtypes) == len(cells) and set(dtypes) == {object}
 
 
-@pytest.mark.parametrize(("n", "size", "patterns"), [(3, 40, 781), (4, 27, 2952)])
-def test_keyed_weights_weigh_each_run_pattern_once_per_space(monkeypatch, n, size, patterns):
-    # A multiset's weight depends only on where its runs start, one pattern
-    # per composition of k into at most n parts. Each is weighed once in the
-    # whole space, however many chunks hold it.
-    assert patterns == sum(math.comb(size - 1, parts - 1) for parts in range(1, n + 1))
-    weigh, calls = variance._multiset_probability, []
-    monkeypatch.setattr(
-        variance, "_multiset_probability", lambda *args: calls.append(1) or weigh(*args)
-    )
+@pytest.mark.parametrize(("n", "size"), [(2, 100), (3, 40), (4, 27)])
+def test_python_int_chunk_weights_equal_batch_probability(n, size):
+    # Past k = 22 the odd part of k! is above 2**53, so these spaces' run
+    # places and their products are Python integers; every row and weight
+    # must still be those of enumerate_batches and batch_probability.
+    assert variance._weight_rule(n, size, WITH)[0] is object
     chunks = list(variance._weighted_chunks(n, size, WITH, None))
-    assert len(chunks) > 1 and len(calls) == patterns
+    rows = [tuple(row) for idx, _ in chunks for row in idx.tolist()]
+    assert rows == list(combinations_with_replacement(range(n), size))
+    weights = [w for _, chunk in chunks for w in chunk.tolist()]
+    batches = enumerate_batches(n, size, WITH, cap=None)
+    assert weights == [batch_probability(b, n) for b in batches]
 
 
 def test_first_chunk_of_a_large_space_stays_small():
