@@ -61,6 +61,7 @@ from .variance import (
     average_batch_covariance,
     empirical_batch_variance,
     exact_batch_variance,
+    exact_batch_variances,
 )
 
 __version__ = "0.1.0"
@@ -97,6 +98,7 @@ __all__ = [
     "enumerate_batches",
     "epsilon_at",
     "exact_batch_variance",
+    "exact_batch_variances",
     "full_gradient",
     "gradient_matrix",
     "gradient_stats",

@@ -38,13 +38,13 @@ from .scheduler import (
     min_batch_without_replacement,
 )
 from .svgplot import render_line_chart
-from .variance import analytic_variance, exact_batch_variance
+from .variance import analytic_variance, exact_batch_variance, exact_batch_variances
 
 VERIFY_TOLERANCE = 1e-10
 # Largest accepted values of the flags that size a command's work, checked
 # before any work starts. On a 2-vCPU x86 VM, verify --n-max 100 at the
-# default cap took 26 s (48 s when the limit was set), and growth-curve
-# --kmax 1000000 took 7.5 s and 0.3 GB.
+# default cap took 28 s (median of 5; 48 s when the limit was set), and
+# growth-curve --kmax 1000000 took 7.5 s and 0.3 GB.
 N_MAX_LIMIT = 100
 KMAX_LIMIT = 1_000_000
 # growth-curve rows computed and written at a time.
@@ -146,10 +146,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         x = rng.normal(size=2)
         var_comp = component_gradient_variance(problem, x)
         for scheme in (Scheme.WITHOUT_REPLACEMENT, Scheme.WITH_REPLACEMENT):
+            # One walk gives the sizes up to the first it cannot take; the
+            # rest, narrow spaces near N or spaces over the cap, go one by one.
+            walked = exact_batch_variances(problem, x, scheme, cap=args.cap)
             for batch_size in range(1, n + 1):
                 analytic = analytic_variance(scheme, var_comp, n, batch_size)
                 try:
-                    oracle = exact_batch_variance(problem, x, batch_size, scheme, cap=args.cap)
+                    if batch_size <= len(walked):
+                        oracle = walked[batch_size - 1]
+                    else:
+                        oracle = exact_batch_variance(problem, x, batch_size, scheme, cap=args.cap)
                 except EnumerationCapError:
                     skipped += 1
                     print(

@@ -18,7 +18,7 @@ terms are added one at a time in enumeration order, so a result is
 bit-identical to a per-batch Python loop over the same batches.
 
 :func:`exact_batch_variance` walks the space as a prefix tree
-(:func:`_tree_sums`) wherever its reference adds a batch's rows one at a
+(:func:`_tree_levels`) wherever its reference adds a batch's rows one at a
 time, which numpy does with two or more gradient entries, and the space is
 wide and holds more indices than one chunk (see :func:`_walks_tree`):
 batches that share a prefix share its row sum and its run places, each
@@ -31,11 +31,16 @@ eight or more rows pairwise, which a running sum cannot reproduce;
 small or narrow space decodes in fewer numpy calls than its tree takes
 blocks. So those take the chunks.
 
+:func:`exact_batch_variances` reads every batch size up to some j* from
+one walk that does not prune: a prefix of length j is itself a size-j
+batch, and level j holds every one, in enumeration order, with the row
+sum and run places of the size-j space. Larger sizes are left to
+per-size calls.
+
 Besides the gradient matrix, memory does not grow with the number of
-batches: a chunk holds at most ``_CHUNK_INDICES`` indices, and the tree at
-most N_S + 1 blocks of ``max(M, _CHUNK_INDICES // N_S)`` nodes each, one
-partly expanded block per level and the one being built (M = N, or
-N + N_S - 1 with replacement).
+batches: a chunk holds at most ``_CHUNK_INDICES`` indices, and a walk to
+depth k at most k + 1 blocks of ``max(N, _CHUNK_INDICES // k)`` nodes
+each, one partly expanded block per level and the one being built.
 
 Every batch mean, and the full-gradient mean each estimate is centred on,
 adds its rows in index order, with the reduction that
@@ -60,6 +65,7 @@ from .finite_sum import (
 )
 from .sampling import (
     DEFAULT_ENUMERATION_CAP,
+    EnumerationCapError,
     Scheme,
     SeededRng,
     _check_count,
@@ -76,6 +82,9 @@ _CHUNK_INDICES = 16_384
 # An integer is exactly a float64 when its odd part is below 2**53; while the
 # odd part of k! is (k <= 22), every divisor of k! is one too.
 _EXACT_FLOATS = 2**53
+# With one gradient entry numpy sums this many rows or more pairwise, which a
+# running sum cannot reproduce.
+_PAIRWISE_ROWS = 8
 
 
 def analytic_variance_with_replacement(var_comp: float, batch_size: int) -> float:
@@ -174,68 +183,71 @@ def _weighted_chunks(n_components: int, batch_size: int, scheme: Scheme, cap):
     return map(weighted, chunks)
 
 
-def _tree_sums(grads: np.ndarray, n_components: int, batch_size: int, scheme: Scheme):
-    """The batch space as ``(sums, weights)`` blocks, by a walk of its prefix tree.
+def _tree_levels(
+    grads: np.ndarray, n_components: int, depth: int, scheme: Scheme, dtype, pruned: bool
+):
+    """The batch spaces of sizes 1..depth as ``(size, sums, products)`` blocks of one walk.
 
-    ``sums[i]`` is the sum of a batch's gradient rows, added one at a time
-    in index order from +0.0, as :func:`~varbatch.finite_sum._row_sum` adds
-    them with two or more entries per row, and ``weights[i]`` (a scalar
-    without replacement) its :func:`~varbatch.sampling.batch_probability`,
-    computed by :func:`_weight_rule` as :func:`_weighted_chunks` computes
-    it; the batches come in enumeration order. The caller checks the space.
+    A node at level j is a batch of size j, a_0 < ... < a_{j-1} of
+    range(N), or with replacement a canonical multiset b_0 <= ... <=
+    b_{j-1}. It holds its last index, the sum of its gradient rows, added
+    one at a time in index order from +0.0 as
+    :func:`~varbatch.finite_sum._row_sum` adds them with two or more entries
+    per row, and, with replacement, the place of its last row in its run and
+    the product of its places, prod(multiplicity!), in ``dtype``
+    (``products`` is None without replacement). So each prefix is summed
+    and weighed once for all the batches that extend it. The children of a
+    node take the next index from a_{j-1} + 1 (from b_{j-1} with
+    replacement) to N - 1, so the blocks of each level hold every batch of
+    its size, in enumeration order. A ``pruned`` walk without replacement
+    stops them at N - depth + j: only prefixes of size-``depth`` batches
+    are expanded, and the shallower levels are partial. The caller checks
+    the spaces.
 
-    A node at depth j is a prefix a_0 < ... < a_{j-1} of the batches'
-    subsets of range(M), M as in ``_subset_population``: it holds a_{j-1},
-    the sum of the prefix's rows and, with replacement, the place of its
-    last row in its run and the product of its places, so each prefix is
-    summed and weighed once for all the batches that share it. A block of
-    nodes is expanded a level at a time: the children of a node take a_j
-    from a_{j-1} + 1 to M - k + j, one ``np.repeat`` of the parents and one
-    gather of rows (row a_j, or a_j - j with replacement) per level. A block
-    holds at most ``max(M, _CHUNK_INDICES // k)`` nodes, so a parent's
-    children always fit one; a stack of blocks, one at most per level, walks
-    them depth first, each block's parents in order.
+    A block of nodes is expanded a level at a time, with one ``np.repeat``
+    of the parents and one gather of rows. A block holds at most
+    ``max(N, _CHUNK_INDICES // depth)`` nodes, so a parent's children
+    always fit one; a stack of blocks, one at most per level, walks them
+    depth first, each block's parents in order.
     """
     runs = scheme is Scheme.WITH_REPLACEMENT
-    dtype, weigh = _weight_rule(n_components, batch_size, scheme)
-    population = n_components + batch_size - 1 if runs else n_components
-    limit = max(population, _CHUNK_INDICES // batch_size)
-    # Each entry: the depth, the block's nodes, the prefix sums of their child
+    prune = pruned and not runs  # with replacement every prefix extends
+    limit = max(n_components, _CHUNK_INDICES // depth)
+    # Each entry: the level, the block's nodes, the prefix sums of their child
     # counts (from 0) and the first parent not yet expanded. The root, the
-    # empty prefix, has last index -1 and run place 0, so its children start
-    # runs at place 1.
-    root = (np.array([-1]), np.zeros((1, grads.shape[1])))
+    # empty prefix, has last index -1 (0 with replacement, where a child may
+    # repeat it) and run place 0, so its children start runs at place 1.
+    root = (np.array([runs - 1]), np.zeros((1, grads.shape[1])))
     if runs:
         root += (np.zeros(1, dtype), np.ones(1, dtype))
-    stack = [(0, root, np.array([0, population - batch_size + 1]), 0)]
+    stack = [(0, root, np.array([0, n_components - prune * (depth - 1)]), 0)]
     while stack:
-        depth, nodes, bounds, start = stack.pop()
+        level, nodes, bounds, start = stack.pop()
         stop = bounds.searchsorted(bounds[start] + limit, "right") - 1
         if stop < len(bounds) - 1:
-            stack.append((depth, nodes, bounds, stop))
+            stack.append((level, nodes, bounds, stop))
         last, sums, *places = (array[start:stop] for array in nodes)
-        top = population - batch_size + depth  # the largest a_depth
-        counts = top - last
+        top = n_components - 1 - prune * (depth - 1 - level)  # the largest child index
+        counts = top + runs - last
         ends = counts.cumsum()
         index = np.repeat(top + 1 - ends, counts)
         index += np.arange(len(index))
         sums = np.repeat(sums, counts, axis=0)
-        sums += grads.take(index - depth if runs else index, axis=0)
+        sums += grads.take(index, axis=0)
         if runs:
-            # A parent's first child, a_j = a_{j-1} + 1, repeats its multiset
-            # index (b_j = a_j - j), one place further along its run; every
-            # other child starts a run.
+            # A parent's first child repeats its last index, one place further
+            # along its run; every other child starts a run.
             place, product = places
             place_child = np.ones(len(index), dtype)
             place_child[ends - counts] += place
             places = (place_child, np.repeat(product, counts) * place_child)
-        if depth + 1 == batch_size:
-            yield sums, weigh(places[1] if runs else None)
-        else:
-            counts = top + 1 - index
+        yield level + 1, sums, places[1] if runs else None
+        if level + 1 < depth:
+            counts = top + prune + runs - index
             bounds = np.zeros(len(index) + 1, counts.dtype)
             counts.cumsum(out=bounds[1:])
-            stack.append((depth + 1, (index, sums, *places), bounds, 0))
+            if bounds[-1]:  # unpruned, a block of last indices N - 1 has none
+                stack.append((level + 1, (index, sums, *places), bounds, 0))
 
 
 def _walks_tree(dim: int, n_components: int, batch_size: int, scheme: Scheme) -> bool:
@@ -286,8 +298,9 @@ def exact_batch_variance(
     before anything is evaluated.
 
     Where :func:`_walks_tree` allows it, the batches' row sums come from a
-    walk of the batch space's prefix tree (:func:`_tree_sums`), which holds
-    at most N_S + 1 blocks of ``max(M, _CHUNK_INDICES // N_S)`` nodes.
+    pruned walk of the batch space's prefix tree (:func:`_tree_levels`),
+    which holds at most N_S + 1 blocks of ``max(N, _CHUNK_INDICES // N_S)``
+    nodes.
     Otherwise the space is read as :func:`_weighted_chunks`: a chunk's
     rows are gathered once by its columns, a contiguous ``(N_S, m, d)``
     block, and its ``(m, N_S, d)`` transpose is summed over the batch axis,
@@ -299,7 +312,11 @@ def exact_batch_variance(
     grads = gradient_matrix(problem, x)
     center = _row_sum(grads) / len(grads)
     if _walks_tree(grads.shape[1], n, batch_size, scheme):
-        blocks = _tree_sums(grads, n, batch_size, scheme)
+        dtype, weigh = _weight_rule(n, batch_size, scheme)
+        levels = _tree_levels(grads, n, batch_size, scheme, dtype, pruned=True)
+        blocks = (
+            (sums, weigh(products)) for size, sums, products in levels if size == batch_size
+        )
     else:
         blocks = (
             (_row_sum(_rows(grads, idx.T).transpose(1, 0, 2)), weights)
@@ -310,6 +327,48 @@ def exact_batch_variance(
         dev = sums / batch_size - center
         total = _add_in_order(total, weights * np.vecdot(dev, dev))
     return total
+
+
+def exact_batch_variances(
+    problem: FiniteSumProblem,
+    x,
+    scheme: Scheme,
+    cap: int | None = DEFAULT_ENUMERATION_CAP,
+) -> list[float]:
+    """:func:`exact_batch_variance` at batch sizes 1, 2, ..., j*, bit for bit, from one walk.
+
+    j* is the largest size, at most N, whose space and every smaller size's
+    :func:`exact_batch_variance` accepts under ``cap``; with one gradient
+    entry, at most ``_PAIRWISE_ROWS - 1``. The list is empty when size 1
+    is refused. The spaces are checked before any gradient is evaluated.
+
+    The unpruned walk (:func:`_tree_levels`) holds at most j* + 1 blocks of
+    ``max(N, _CHUNK_INDICES // j*)`` nodes. Each level keeps its own
+    running total and :func:`_weight_rule`; the products are held in the
+    deepest level's number type, which holds every shallower level's
+    exactly.
+    """
+    n = problem.n_components
+    deepest = n if problem.dim > 1 else min(n, _PAIRWISE_ROWS - 1)
+    rules = []
+    for size in range(1, deepest + 1):
+        try:
+            _subset_population(n, size, scheme, cap, ranked=True)
+        except EnumerationCapError:
+            break
+        rules.append(_weight_rule(n, size, scheme))
+    if not rules:
+        return []
+    grads = gradient_matrix(problem, x)
+    center = _row_sum(grads) / len(grads)
+    totals = [0.0] * len(rules)
+    for size, sums, products in _tree_levels(
+        grads, n, len(rules), scheme, rules[-1][0], pruned=False
+    ):
+        dev = sums / size - center
+        weights = rules[size - 1][1](products)
+        totals[size - 1] = _add_in_order(totals[size - 1], weights * np.vecdot(dev, dev))
+    return totals
 
 
 def empirical_batch_variance(

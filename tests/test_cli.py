@@ -131,6 +131,59 @@ def test_verify_csv_is_byte_stable(tmp_path):
     assert digest == "7838a754f63cc6856f765fd373afb43b29f78b27e6eca3f3b15183bf439535fa"
 
 
+# The cells verify --n-max 8 --cap 50 skips: (N, scheme) -> N_S.
+CAP_50_SKIPS = {
+    (5, "with"): range(4, 6),
+    (6, "with"): range(3, 7),
+    (7, "with"): range(3, 8),
+    (8, "without"): range(3, 6),
+    (8, "with"): range(3, 9),
+}
+
+
+def test_verify_csv_with_cap_skips_is_byte_stable(tmp_path, capsys):
+    # A sweep that walks some sizes, skips the sizes over the cap and takes
+    # the narrow subset spaces past them (N = 8, N_S >= 6) one by one.
+    argv = ["verify", "--n-max", "8", "--cap", "50", "--seed", "0", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    digest = hashlib.sha256(read_bytes(tmp_path / "verify.csv")).hexdigest()
+    assert digest == "d458ab225d061a1e1a6f12f8d19e7e077c79decf7213bfe323b5cd7a8b8af165"
+    assert capsys.readouterr().err.splitlines() == [
+        f"verify: N={n} N_S={size} scheme={scheme}: enumeration cap exceeded, row skipped"
+        for (n, scheme), sizes in CAP_50_SKIPS.items()
+        for size in sizes
+    ]
+
+
+@pytest.mark.parametrize("cap", ["1000000", "50"])
+def test_verify_walks_once_per_population_and_scheme(tmp_path, monkeypatch, cap):
+    # Each (N, scheme) is one call of the every-size oracle; the per-size
+    # oracle takes only the sizes past the walk, and at the default cap none.
+    walks, cells = [], []
+    every_size, per_size = cli.exact_batch_variances, cli.exact_batch_variance
+
+    def walk(problem, x, scheme, cap):
+        walked = every_size(problem, x, scheme, cap=cap)
+        walks.append((problem.n_components, scheme.value, len(walked)))
+        return walked
+
+    def cell(problem, x, batch_size, scheme, cap):
+        cells.append((problem.n_components, scheme.value, batch_size))
+        return per_size(problem, x, batch_size, scheme, cap=cap)
+
+    monkeypatch.setattr(cli, "exact_batch_variances", walk)
+    monkeypatch.setattr(cli, "exact_batch_variance", cell)
+    assert main(["verify", "--n-max", "8", "--cap", cap, "--out", str(tmp_path)]) == 0
+    assert [(n, scheme) for n, scheme, _ in walks] == [
+        (n, scheme) for n in range(1, 9) for scheme in ("without", "with")
+    ]
+    assert cells == [
+        (n, scheme, size) for n, scheme, depth in walks for size in range(depth + 1, n + 1)
+    ]
+    if cap == "1000000":
+        assert cells == []
+
+
 # train.csv digests of seeded d = 2 runs. At d <= 2 a row product does not
 # depend on how the BLAS blocks the rows, so these hold across BLAS kernels;
 # any change to the gradient formulas, their reductions, the monitored

@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import tracemalloc
@@ -30,6 +31,7 @@ from varbatch import (
     empirical_batch_variance,
     enumerate_batches,
     exact_batch_variance,
+    exact_batch_variances,
     full_gradient,
     make_least_squares,
     make_logistic,
@@ -243,6 +245,13 @@ def oracle_problems(n):
     yield make_logistic(rng.normal(size=(n, 2)), labels), rng.normal(size=2)
 
 
+@functools.cache
+def loop_oracle(n, case, size, scheme):
+    """``loop_exact_batch_variance`` on ``oracle_problems(n)``'s case ``case``, once a session."""
+    problem, x = list(oracle_problems(n))[case]
+    return loop_exact_batch_variance(problem, x, size, scheme)
+
+
 def test_chunked_oracles_equal_per_batch_loop(monkeypatch):
     # At 64 indices per chunk the larger batch spaces span several chunks;
     # the sums must not notice where the boundaries fall.
@@ -275,12 +284,9 @@ def test_both_oracle_paths_equal_per_batch_loop_past_eight_rows(monkeypatch):
     # the prefix tree takes the with-replacement spaces (12,870 and 24,310
     # batches), and at 64 indices, where a tree block holds at most M nodes,
     # each spans many blocks. The narrow subset spaces are decoded.
-    for problem, x in oracle_problems(9):
+    for case, (problem, x) in enumerate(oracle_problems(9)):
         for size in (8, 9):
-            expected = [
-                loop_exact_batch_variance(problem, x, size, scheme)
-                for scheme in (WITHOUT, WITH)
-            ]
+            expected = [loop_oracle(9, case, size, scheme) for scheme in (WITHOUT, WITH)]
             for chunk_indices in (variance._CHUNK_INDICES, 64):
                 monkeypatch.setattr(variance, "_CHUNK_INDICES", chunk_indices)
                 observed = [
@@ -366,6 +372,90 @@ def test_prefix_tree_deeper_than_the_recursion_limit(monkeypatch):
     x = rng.normal(size=2)
     oracle = exact_batch_variance(problem, x, size, WITHOUT)
     assert oracle == loop_exact_batch_variance(problem, x, size, WITHOUT)
+
+
+def test_every_size_oracle_equals_per_size_oracles_and_loop(monkeypatch):
+    # One walk gives every size up to N, but with one gradient entry only the
+    # sizes below eight, which numpy sums row by row. At 64 indices a level
+    # of the larger spaces spans several blocks. (The per-size oracle's
+    # results do not depend on its chunks; the tests above show it.)
+    for n in range(1, 10):
+        for case, (problem, x) in enumerate(oracle_problems(n)):
+            depth = n if problem.dim > 1 else min(n, 7)
+            for scheme in (WITHOUT, WITH):
+                sizes = range(1, depth + 1)
+                expected = [loop_oracle(n, case, size, scheme) for size in sizes]
+                assert [exact_batch_variance(problem, x, k, scheme) for k in sizes] == expected
+                for chunk_indices in (variance._CHUNK_INDICES, 64):
+                    monkeypatch.setattr(variance, "_CHUNK_INDICES", chunk_indices)
+                    assert exact_batch_variances(problem, x, scheme) == expected
+
+
+def test_every_size_oracle_weighs_each_level_by_its_own_rule(monkeypatch):
+    # Below 16 the odd parts of 1! .. 5! (at most 15) weigh in float64 and
+    # those of 6! .. 9! in Python integers: one walk holds both.
+    monkeypatch.setattr(variance, "_EXACT_FLOATS", 16)
+    assert [variance._weight_rule(9, size, WITH)[0] for size in (5, 6)] == [np.float64, object]
+    for problem, x in list(oracle_problems(9))[1:]:
+        walked = exact_batch_variances(problem, x, WITH)
+        assert walked == [exact_batch_variance(problem, x, size, WITH) for size in range(1, 10)]
+
+
+def test_every_size_oracle_stops_at_the_first_size_over_the_cap(monkeypatch):
+    # N = 8 holds C(8, k) = 8, 28, 56, 70, ... subsets and C(7 + k, k) = 8,
+    # 36, 120, ... multisets. A cap between two counts stops the walk at the
+    # smaller; the rest are refused, or, past C(8, 4), narrow again.
+    levels = []
+    tree_levels = variance._tree_levels
+
+    def spy(*args, **kwargs):
+        for level in tree_levels(*args, **kwargs):
+            levels.append(level[0])
+            yield level
+
+    monkeypatch.setattr(variance, "_tree_levels", spy)
+    problem, x = list(oracle_problems(8))[1]
+    for scheme, cap, depth in (
+        (WITHOUT, 7, 0), (WITHOUT, 8, 1), (WITHOUT, 55, 2), (WITHOUT, 56, 3),
+        (WITHOUT, 69, 3), (WITHOUT, 70, 8), (WITH, 35, 1), (WITH, 36, 2),
+        (WITH, 119, 2), (WITH, 120, 3), (WITH, None, 8),
+    ):
+        levels.clear()
+        walked = exact_batch_variances(problem, x, scheme, cap=cap)
+        assert max(levels, default=0) == depth == len(walked)
+        sizes = range(1, depth + 1)
+        assert walked == [exact_batch_variance(problem, x, k, scheme, cap=cap) for k in sizes]
+        if depth < 8:
+            with pytest.raises(EnumerationCapError):
+                exact_batch_variance(problem, x, depth + 1, scheme, cap=cap)
+
+
+def test_every_size_walk_memory_stays_within_a_block_per_level():
+    # Every subset of 20 components (1,048,575 batches over 20 levels), and
+    # every multiset of up to 10 of 14 (1,961,255 over 10): the walk holds at
+    # most one partly expanded block per level, each of at most
+    # max(N, 16384 // depth) nodes of at most four arrays, and one block
+    # being built: far less than one float per batch.
+    rng = np.random.default_rng(5)
+    for n, scheme, cap, depth, batches in (
+        (20, WITHOUT, None, 20, 1_048_575),
+        (14, WITH, 1_144_066, 10, 1_961_255),
+    ):
+        problem = make_least_squares(rng.normal(size=(n, 2)), rng.normal(size=n))
+        x = rng.normal(size=2)
+        block = max(n, variance._CHUNK_INDICES // depth) * 8 * (2 + 3)
+        tracemalloc.start()
+        try:
+            oracles = exact_batch_variances(problem, x, scheme, cap=cap)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(oracles) == depth
+        assert peak < (depth + 2) * block < batches * 8
+        var_comp = component_gradient_variance(problem, x)
+        for size, oracle in enumerate(oracles, 1):
+            closed = analytic_variance(scheme, var_comp, n, size)
+            assert oracle == pytest.approx(closed, abs=1e-10)
 
 
 def test_oracles_never_call_closed_forms(monkeypatch, random_ls):
@@ -458,6 +548,8 @@ def test_oracles_refuse_space_above_cap_before_evaluating():
     for scheme in (WITHOUT, WITH):
         with pytest.raises(EnumerationCapError):
             exact_batch_variance(problem, x, 5, scheme, cap=100)
+        # Size 1 alone is 10 batches: the every-size walk has no size to take.
+        assert exact_batch_variances(problem, x, scheme, cap=9) == []
     with pytest.raises(EnumerationCapError):
         average_batch_covariance(problem, x, 5, cap=100)
     assert evaluated == []
@@ -476,6 +568,8 @@ def test_oracles_refuse_a_cap_that_is_not_a_count_before_evaluating(cap):
         for scheme in (WITHOUT, WITH):
             with pytest.raises(ValueError, match="enumeration cap"):
                 exact_batch_variance(problem, X0, size, scheme, cap=cap)
+            with pytest.raises(ValueError, match="enumeration cap"):
+                exact_batch_variances(problem, X0, scheme, cap=cap)
             with pytest.raises(ValueError, match="enumeration cap"):
                 enumerate_batches(n, size, scheme, cap=cap)
         with pytest.raises(ValueError, match="enumeration cap"):
@@ -552,7 +646,7 @@ def test_chunk_weights_exact_on_both_sides_of_the_float_path(monkeypatch, n, siz
         assert weights.tolist() == [batch_probability(Batch(b, WITH), n) for b in batches]
 
 
-def test_keyed_weights_give_the_float_path_oracles(monkeypatch):
+def test_python_int_weights_give_the_float_path_oracles(monkeypatch):
     # Every with-replacement cell of verify --n-max 6, on the same problems,
     # first weighed in float64, then with every space forced onto Python
     # integers.
